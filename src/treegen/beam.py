@@ -74,7 +74,6 @@ class Candidate:
 @dataclass
 class DecodeResult:
     candidates: list[Candidate]
-    failure: str | None = None
 
 
 class DecodingFailed(RuntimeError):

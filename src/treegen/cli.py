@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .beam import DecodeConfig, DecodeMode, DecodingFailed, decode
-from .constraints import check_tree, first_rejection
+from .constraints import first_rejection
 from .corpus import CorpusExample, MalformedLine, read_corpus, write_corpus
 from .delex import DelexTable, delexicalize_example, relexicalize
 from .metrics import EvalReport, bleu4, diversity, tree_accuracy
@@ -91,40 +91,49 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+@dataclasses.dataclass(frozen=True)
+class Manifest:
+    """Where a run's manifest goes, and the files and seeds it records."""
+
+    path: Path
+    inputs: list
+    outputs: list
+    seeds: dict
+
+
+def _manifest_beside(out, inputs) -> Manifest:
+    """The manifest of a run with one output file: ``<out>.manifest.json``."""
+    return Manifest(Path(str(out) + ".manifest.json"), inputs, [out], {})
+
+
 def _write_manifest(
-    path: Path,
-    args: argparse.Namespace,
-    *,
-    inputs,
-    outputs,
-    seeds: dict,
-    started_at: str,
-    t0: float,
+    manifest: Manifest, args: argparse.Namespace, started_at: str, t0: float
 ) -> None:
     arguments = {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in vars(args).items()
         if k not in ("func",)
     }
-    manifest = {
+    record = {
         "command": args.command,
         "arguments": arguments,
-        "seeds": seeds,
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
+        "seeds": manifest.seeds,
+        "inputs": [str(p) for p in manifest.inputs],
+        "outputs": [str(p) for p in manifest.outputs],
         "tool_version": __version__,
         "started_at": started_at,
         "elapsed_seconds": round(time.monotonic() - t0, 3),
     }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    manifest.path.write_text(
+        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 # -- synthesize -------------------------------------------------------------
 
 
-def _cmd_synthesize(args: argparse.Namespace) -> int:
+def _cmd_synthesize(args: argparse.Namespace) -> tuple[int, Manifest]:
     _require(args, "n", "out_dir")
-    started_at, t0 = _utc_now(), time.monotonic()
     config = None
     inputs = []
     if args.synth_config is not None:
@@ -147,16 +156,12 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     print(f"wrote {stats['train_examples']} train / {stats['test_examples']} test examples")
     for key in ("train_path", "test_path", "stats_path"):
         print(f"  {key.removesuffix('_path')}: {result[key]}")
-    _write_manifest(
+    return 0, Manifest(
         Path(args.out_dir) / "manifest.json",
-        args,
-        inputs=inputs,
-        outputs=[result["train_path"], result["test_path"], result["stats_path"]],
-        seeds={"seed": args.seed},
-        started_at=started_at,
-        t0=t0,
+        inputs,
+        [result["train_path"], result["test_path"], result["stats_path"]],
+        {"seed": args.seed},
     )
-    return 0
 
 
 # -- validate ---------------------------------------------------------------
@@ -179,19 +184,17 @@ def _validate_line(line: str, ontology: Ontology) -> str | None:
     except (TreeError, UnknownLabel) as exc:
         return f"bad MR: {exc}"
     try:
-        annotated = parse_linearized(example.annotated_response, ontology)
+        parse_linearized(example.annotated_response, ontology)
     except (TreeError, UnknownLabel) as exc:
         return f"bad annotated response: {exc}"
-    if not check_tree(mr, example.annotated_response.split()):
-        pos = first_rejection(mr, example.annotated_response.split())
+    pos = first_rejection(mr, example.annotated_response.split())
+    if pos is not None:
         return f"annotated response does not realize the MR (first rejected token at {pos})"
-    del annotated
     return None
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> tuple[int, Manifest | None]:
     _require(args, "corpus")
-    started_at, t0 = _utc_now(), time.monotonic()
     ontology = _ontology(args.ontology)
     checked = 0
     failures: list[dict] = []
@@ -206,29 +209,21 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print(f"{args.corpus}:{failure['line']}: {failure['reason']}")
     status = "FAIL" if failures else "OK"
     print(f"{status}: {checked} examples checked, {len(failures)} invalid")
-    if args.report is not None:
-        report = {"corpus": str(args.corpus), "checked": checked, "failures": failures}
-        Path(args.report).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        _write_manifest(
-            Path(str(args.report) + ".manifest.json"),
-            args,
-            inputs=[args.corpus],
-            outputs=[args.report],
-            seeds={},
-            started_at=started_at,
-            t0=t0,
-        )
-    return 1 if failures else 0
+    code = 1 if failures else 0
+    if args.report is None:
+        return code, None
+    report = {"corpus": str(args.corpus), "checked": checked, "failures": failures}
+    Path(args.report).write_text(
+        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    return code, _manifest_beside(args.report, [args.corpus])
 
 
 # -- train-scorer -----------------------------------------------------------
 
 
-def _cmd_train_scorer(args: argparse.Namespace) -> int:
+def _cmd_train_scorer(args: argparse.Namespace) -> tuple[int, Manifest]:
     _require(args, "corpus", "out")
-    started_at, t0 = _utc_now(), time.monotonic()
     ontology = _ontology(args.ontology)
     examples = _load_corpus(args.corpus)
     try:
@@ -248,31 +243,18 @@ def _cmd_train_scorer(args: argparse.Namespace) -> int:
         f"trained order-{model.order} model on {len(examples)} examples "
         f"(vocabulary {len(model.vocabulary)} tokens): {args.out}"
     )
-    _write_manifest(
-        Path(str(args.out) + ".manifest.json"),
-        args,
-        inputs=[args.corpus],
-        outputs=[args.out],
-        seeds={},
-        started_at=started_at,
-        t0=t0,
-    )
-    return 0
+    return 0, _manifest_beside(args.out, [args.corpus])
 
 
 # -- decode -----------------------------------------------------------------
 
-# Per-process state for decoding workers; populated by _decode_init both in
-# pool workers and (for --jobs 1) in the parent process.
+# Per-process state for decoding: the parent loads it once, and _decode_init
+# installs it in the parent and in each pool worker.
 _WORKER: dict = {}
 
 
-def _decode_init(model_path: str, ontology_name: str, config_kwargs: dict) -> None:
-    kwargs = dict(config_kwargs)
-    kwargs["mode"] = DecodeMode(kwargs["mode"])
-    _WORKER["model"] = NGramModel.load(model_path)
-    _WORKER["ontology"] = _ONTOLOGIES[ontology_name]()
-    _WORKER["config"] = DecodeConfig(**kwargs)
+def _decode_init(state: dict) -> None:
+    _WORKER.update(state)
 
 
 def _decode_one(item: tuple[int, str]) -> dict:
@@ -299,31 +281,33 @@ def _decode_one(item: tuple[int, str]) -> dict:
     }
 
 
-def _cmd_decode(args: argparse.Namespace) -> int:
+def _cmd_decode(args: argparse.Namespace) -> tuple[int, Manifest]:
     _require(args, "corpus", "model", "out")
-    started_at, t0 = _utc_now(), time.monotonic()
     if args.mode not in [m.value for m in DecodeMode]:
         raise CliError(f"unknown mode {args.mode!r}")
     examples = _load_corpus(args.corpus)
     if args.limit is not None:
         examples = examples[: args.limit]
-    config_kwargs = {
-        "beam_size": args.beam_size,
-        "max_length": args.max_length,
-        "mode": args.mode,
-        "length_penalty": args.length_penalty,
-    }
     items = [(i, ex.mr) for i, ex in enumerate(examples)]
-    init_args = (str(args.model), args.ontology, config_kwargs)
     try:
+        state = {
+            "model": NGramModel.load(args.model),
+            "ontology": _ontology(args.ontology),
+            "config": DecodeConfig(
+                beam_size=args.beam_size,
+                max_length=args.max_length,
+                mode=DecodeMode(args.mode),
+                length_penalty=args.length_penalty,
+            ),
+        }
+        _decode_init(state)
         if args.jobs > 1 and len(items) > 1:
             chunk = max(1, len(items) // (args.jobs * 4))
             with ProcessPoolExecutor(
-                max_workers=args.jobs, initializer=_decode_init, initargs=init_args
+                max_workers=args.jobs, initializer=_decode_init, initargs=(state,)
             ) as pool:
                 records = list(pool.map(_decode_one, items, chunksize=chunk))
         else:
-            _decode_init(*init_args)
             records = [_decode_one(item) for item in items]
     except (OSError, ValueError) as exc:
         raise CliError(f"decoding failed: {exc}")
@@ -335,24 +319,14 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         f"decoded {len(records)} examples in {args.mode} mode, "
         f"{failed} failures: {args.out}"
     )
-    _write_manifest(
-        Path(str(args.out) + ".manifest.json"),
-        args,
-        inputs=[args.corpus, args.model],
-        outputs=[args.out],
-        seeds={},
-        started_at=started_at,
-        t0=t0,
-    )
-    return 1 if failed else 0
+    return (1 if failed else 0), _manifest_beside(args.out, [args.corpus, args.model])
 
 
 # -- evaluate ---------------------------------------------------------------
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
+def _cmd_evaluate(args: argparse.Namespace) -> tuple[int, Manifest]:
     _require(args, "predictions", "corpus", "out")
-    started_at, t0 = _utc_now(), time.monotonic()
     ontology = _ontology(args.ontology)
     examples = _load_corpus(args.corpus)
     records = _read_jsonl(args.predictions)
@@ -407,24 +381,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         f"diversity: {spread.unique_tokens} tokens, {spread.unique_trigrams} trigrams, "
         f"{spread.shannon_entropy_bits:.2f} bits"
     )
-    _write_manifest(
-        Path(str(args.out) + ".manifest.json"),
-        args,
-        inputs=[args.predictions, args.corpus],
-        outputs=[args.out],
-        seeds={},
-        started_at=started_at,
-        t0=t0,
-    )
-    return 0
+    return 0, _manifest_beside(args.out, [args.predictions, args.corpus])
 
 
 # -- delex / relex ----------------------------------------------------------
 
 
-def _cmd_delex(args: argparse.Namespace) -> int:
+def _cmd_delex(args: argparse.Namespace) -> tuple[int, Manifest]:
     _require(args, "corpus", "out")
-    started_at, t0 = _utc_now(), time.monotonic()
     ontology = _ontology(args.ontology)
     examples = _load_corpus(args.corpus)
     rewritten = []
@@ -450,21 +414,11 @@ def _cmd_delex(args: argparse.Namespace) -> int:
         )
     write_corpus(args.out, rewritten)
     print(f"delexicalized {len(rewritten)} examples: {args.out}")
-    _write_manifest(
-        Path(str(args.out) + ".manifest.json"),
-        args,
-        inputs=[args.corpus],
-        outputs=[args.out],
-        seeds={},
-        started_at=started_at,
-        t0=t0,
-    )
-    return 0
+    return 0, _manifest_beside(args.out, [args.corpus])
 
 
-def _cmd_relex(args: argparse.Namespace) -> int:
+def _cmd_relex(args: argparse.Namespace) -> tuple[int, Manifest]:
     _require(args, "corpus", "out")
-    started_at, t0 = _utc_now(), time.monotonic()
     examples = _load_corpus(args.corpus)
     restored = []
     for position, example in enumerate(examples):
@@ -484,16 +438,7 @@ def _cmd_relex(args: argparse.Namespace) -> int:
         )
     write_corpus(args.out, restored)
     print(f"relexicalized {len(restored)} examples: {args.out}")
-    _write_manifest(
-        Path(str(args.out) + ".manifest.json"),
-        args,
-        inputs=[args.corpus],
-        outputs=[args.out],
-        seeds={},
-        started_at=started_at,
-        t0=t0,
-    )
-    return 0
+    return 0, _manifest_beside(args.out, [args.corpus])
 
 
 # -- parser wiring ----------------------------------------------------------
@@ -665,7 +610,11 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "config", None) is not None:
             args = _apply_config(parser, registry, args, argv)
-        return args.func(args)
+        started_at, t0 = _utc_now(), time.monotonic()
+        code, manifest = args.func(args)
+        if manifest is not None:
+            _write_manifest(manifest, args, started_at, t0)
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

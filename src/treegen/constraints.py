@@ -38,23 +38,10 @@ from .trees import (
     linearize,
     open_label,
     open_token,
-    structure_key,
     tokenize,
 )
 
 ROOT = -1  # sentinel parent id; the MR root (id 0) is its only child
-
-MASK_VALUE = float("-inf")
-
-
-class TokenRejected(ValueError):
-    """No alignment state survives the token."""
-
-    def __init__(self, token: str, position: int | None = None):
-        self.token = token
-        self.position = position
-        where = f" at position {position}" if position is not None else ""
-        super().__init__(f"token {token!r} rejected{where}: no surviving alignment")
 
 
 class NoValidAlignment(ValueError):
@@ -67,16 +54,16 @@ class ConstraintTracker:
 
     Node ids are assigned in depth-first discovery order, root = 0; the
     parent of the root is the ROOT sentinel.  ellipsis_options[x] is the
-    set of nodes whose subtrees are structurally identical to x's (always
-    including x itself).  Subtrees occupy contiguous id ranges, recorded
-    in subtree_size.
+    set of nodes whose subtrees are structurally identical to x's (same
+    label, values and children recursively; always including x itself),
+    grouped across the whole tree, not only among siblings.  Subtrees
+    occupy contiguous id ranges, recorded in subtree_size.
     """
 
     nodes: tuple[MrNode, ...]
     parent_map: dict[int, int]
     children_map: dict[int, tuple[int, ...]]
     children_by_label: dict[tuple[int, str], tuple[int, ...]]
-    label_index: dict[str, frozenset[int]]
     ellipsis_options: tuple[frozenset[int], ...]
     join_nodes: frozenset[int]
     subtree_size: tuple[int, ...]
@@ -124,25 +111,6 @@ def _number_nodes(root: MrNode) -> tuple[list[MrNode], list[int], list[int]]:
     return nodes, parents, sizes
 
 
-def compute_ellipsis_options(mr: MrTree | MrNode) -> dict[int, frozenset[int]]:
-    """Group nodes whose subtrees are structurally identical.
-
-    Two nodes may stand in for each other in ellipsis iff they have the
-    same label, values, and children recursively; groups are global across
-    the tree, not restricted to siblings.
-    """
-    nodes, _, _ = _number_nodes(as_tree(mr).root)
-    by_key: dict[tuple, list[int]] = {}
-    for idx, node in enumerate(nodes):
-        by_key.setdefault(structure_key(node), []).append(idx)
-    options: dict[int, frozenset[int]] = {}
-    for members in by_key.values():
-        group = frozenset(members)
-        for idx in members:
-            options[idx] = group
-    return options
-
-
 def build_constraints(mr: MrTree | MrNode) -> ConstraintTracker:
     """Precompute the constraint structures for one MR."""
     root = as_tree(mr).root
@@ -154,25 +122,34 @@ def build_constraints(mr: MrTree | MrNode) -> ConstraintTracker:
     for idx in range(1, n):
         children[parents[idx]].append(idx)
 
-    label_index: dict[str, set[int]] = {}
     by_label: dict[tuple[int, str], list[int]] = {}
-    for idx, node in enumerate(nodes):
-        label_index.setdefault(node.label, set()).add(idx)
     for parent, kids in children.items():
         for kid in kids:
             by_label.setdefault((parent, nodes[kid].label), []).append(kid)
 
-    options = compute_ellipsis_options(MrTree(root))
+    # structurally identical subtrees share a class, numbered bottom-up from
+    # each node's own fields and the classes of its children
+    classes: dict[tuple, int] = {}
+    class_of = [0] * n
+    for idx in range(n - 1, -1, -1):
+        node = nodes[idx]
+        kids = tuple(class_of[c] for c in children[idx])
+        key = (node.kind, node.label, node.value, kids)
+        class_of[idx] = classes.setdefault(key, len(classes))
+    members: list[list[int]] = [[] for _ in classes]
+    for idx, cls in enumerate(class_of):
+        members[cls].append(idx)
+    groups = [frozenset(ids) for ids in members]
+
     join_ids = frozenset(
         idx for idx, node in enumerate(nodes) if node.label == "JOIN"
     )
     return ConstraintTracker(
         nodes=tuple(nodes),
-        parent_map={i: parents[i] for i in range(n)},
+        parent_map=dict(enumerate(parents)),
         children_map={p: tuple(kids) for p, kids in children.items()},
         children_by_label={k: tuple(v) for k, v in by_label.items()},
-        label_index={lab: frozenset(ids) for lab, ids in label_index.items()},
-        ellipsis_options=tuple(options[i] for i in range(n)),
+        ellipsis_options=tuple(groups[cls] for cls in class_of),
         join_nodes=join_ids,
         subtree_size=tuple(sizes),
     )
@@ -259,16 +236,6 @@ def advance(
     return states
 
 
-def accept_token(
-    states: StateSet, token: str, tracker: ConstraintTracker
-) -> StateSet:
-    """Consume one token; raises TokenRejected if no state survives."""
-    survivors = advance(tracker, states, token)
-    if not survivors:
-        raise TokenRejected(token)
-    return survivors
-
-
 def min_completion_tokens(tracker: ConstraintTracker, state: AlignmentState) -> int:
     """Tokens needed to finish from this state by the guaranteed route.
 
@@ -341,7 +308,7 @@ def mask_scores(
     for i, token in enumerate(candidate_tokens):
         if token == CLOSE or token == EOS or is_open(token):
             if token not in valid:
-                masked[i] = MASK_VALUE
+                masked[i] = -np.inf
     return masked
 
 
@@ -372,18 +339,6 @@ def first_rejection(
         if not states:
             return pos
     return None
-
-
-def align_states(
-    tracker: ConstraintTracker, output: str | Sequence[str]
-) -> StateSet:
-    """Run the automaton over a whole output; raises TokenRejected."""
-    states = initial_states(tracker)
-    for pos, token in enumerate(_tokens_with_eos(output)):
-        states = advance(tracker, states, token)
-        if not states:
-            raise TokenRejected(token, pos)
-    return states
 
 
 class _LenientState(NamedTuple):

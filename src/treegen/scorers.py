@@ -28,6 +28,10 @@ MODEL_VERSION = 1
 BUILTIN_SUM_TOLERANCE = 1e-9
 EXTERNAL_SUM_TOLERANCE = 1e-6
 
+# Seconds a scorer child gets to exit on its own once its input closes,
+# and then again after SIGTERM, before it is killed.
+EXTERNAL_EXIT_GRACE_S = 5.0
+
 Context = MrTree | MrNode | Sequence[int] | None
 
 
@@ -265,17 +269,20 @@ class NGramModel:
             raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
         if payload.get("version") != MODEL_VERSION:
             raise ValueError(f"unsupported model version {payload.get('version')!r}")
-        model = cls(
-            Vocabulary(payload["vocabulary"]),
-            order=payload["order"],
-            discount=payload["discount"],
-            min_signature_examples=payload["min_signature_examples"],
-        )
-        model._global = _CountTable.from_json(payload["global"], model.order)
-        model._signature_tables = {
-            sig: _CountTable.from_json(data, model.order)
-            for sig, data in payload["signatures"].items()
-        }
+        try:
+            model = cls(
+                Vocabulary(payload["vocabulary"]),
+                order=payload["order"],
+                discount=payload["discount"],
+                min_signature_examples=payload["min_signature_examples"],
+            )
+            model._global = _CountTable.from_json(payload["global"], model.order)
+            model._signature_tables = {
+                sig: _CountTable.from_json(data, model.order)
+                for sig, data in payload["signatures"].items()
+            }
+        except KeyError as exc:
+            raise ValueError(f"{path}: model file has no field {exc.args[0]!r}") from exc
         return model
 
 
@@ -393,10 +400,13 @@ class ExternalScorer:
                     stream.close()
                 except OSError:
                     pass
-        if proc.poll() is None:
+        # a healthy child exits at end of input; only a stuck one is signalled
+        try:
+            proc.wait(timeout=EXTERNAL_EXIT_GRACE_S)
+        except subprocess.TimeoutExpired:
             proc.terminate()
             try:
-                proc.wait(timeout=5)
+                proc.wait(timeout=EXTERNAL_EXIT_GRACE_S)
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from ..constraints import compute_ellipsis_options
+from ..constraints import build_constraints
 from ..ontology import NodeKind
 from ..trees import AnnotatedNode, MrNode, MrTree, as_tree
 
@@ -216,18 +216,8 @@ def _plan_ellipsis(root: MrNode, rng: random.Random,
     """
     if probability <= 0.0:
         return set()
-    nodes: list[MrNode] = []
-    parents: list[int] = []
-
-    def visit(node: MrNode, parent: int) -> None:
-        idx = len(nodes)
-        nodes.append(node)
-        parents.append(parent)
-        for child in node.children:
-            visit(child, idx)
-
-    visit(root, -1)
-    options = compute_ellipsis_options(MrTree(root))
+    tracker = build_constraints(root)
+    nodes, parents = tracker.nodes, tracker.parent_map
     remaining = {
         i: len(node.children)
         for i, node in enumerate(nodes)
@@ -238,7 +228,7 @@ def _plan_ellipsis(root: MrNode, rng: random.Random,
         parent = parents[i]
         if parent < 0 or nodes[parent].kind is not NodeKind.ACT:
             continue
-        group = options[i]
+        group = tracker.ellipsis_options[i]
         if len(group) < 2:
             continue
         twin_alive = any(m != i and m not in dropped for m in group)

@@ -124,7 +124,7 @@ def test_02_worked_checking_examples():
 
 def test_03_numbering_and_ellipsis_map_worked_example():
     tracker = build_constraints(TWO_ACT_MR)
-    inform_ids = sorted(tracker.label_index["INFORM"])
+    inform_ids = [i for i, node in enumerate(tracker.nodes) if node.label == "INFORM"]
     numbering = "INFORM -> {" + ", ".join(map(str, inform_ids)) + "}"
     groups = {
         i: set(opts)

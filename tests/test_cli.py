@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+from datetime import datetime
 from pathlib import Path
 
 import pytest
 
+from treegen import __version__
 from treegen.cli import main
 
 
@@ -253,6 +255,20 @@ class TestDecodePipeline:
         assert all(r["failure"] for r in records)
         assert all(r["score"] is None for r in records)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("model", ["absent", "hollow"])
+    def test_unloadable_model_is_a_usage_error(self, workdir, tmp_path, capsys, jobs, model):
+        path = tmp_path / f"{model}.json"
+        if model == "hollow":
+            path.write_text(json.dumps({"format": "treegen-ngram", "version": 1}))
+        code = run(
+            "decode", "--corpus", workdir / "corpus" / "test.jsonl", "--model", path,
+            "--out", tmp_path / "preds.jsonl", "--jobs", jobs, "--limit", 4,
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
 
 class TestDelexRelex:
     def test_roundtrip_restores_every_example(self, workdir, tmp_path):
@@ -282,6 +298,83 @@ class TestDelexRelex:
             )
             == 2
         )
+
+
+MANIFEST_KEYS = {
+    "command",
+    "arguments",
+    "seeds",
+    "inputs",
+    "outputs",
+    "tool_version",
+    "started_at",
+    "elapsed_seconds",
+}
+
+
+@pytest.fixture(scope="module")
+def manifest_runs(workdir, tmp_path_factory) -> dict:
+    """Every subcommand run once: command -> (manifest, inputs, outputs, seeds).
+
+    synthesize and train-scorer are the runs that built ``workdir``.
+    """
+    root = tmp_path_factory.mktemp("manifests")
+    corpus = workdir / "corpus"
+    test, model = corpus / "test.jsonl", workdir / "model.json"
+    preds, report = root / "preds.jsonl", root / "report.json"
+    evaluation, delexed, relexed = root / "eval.json", root / "delex.jsonl", root / "relex.jsonl"
+    assert run("validate", "--corpus", test, "--report", report) == 0
+    assert run(
+        "decode", "--corpus", test, "--model", model, "--out", preds,
+        "--beam-size", 3, "--limit", 3,
+    ) == 0
+    assert run("evaluate", "--predictions", preds, "--corpus", test, "--out", evaluation) == 0
+    assert run("delex", "--corpus", test, "--out", delexed) == 0
+    assert run("relex", "--corpus", delexed, "--out", relexed) == 0
+
+    def beside(out, inputs):
+        return Path(str(out) + ".manifest.json"), inputs, [out], {}
+
+    return {
+        "synthesize": (
+            corpus / "manifest.json",
+            [],
+            [corpus / "train.jsonl", test, corpus / "stats.json"],
+            {"seed": 11},
+        ),
+        "validate": beside(report, [test]),
+        "train-scorer": beside(model, [corpus / "train.jsonl"]),
+        "decode": beside(preds, [test, model]),
+        "evaluate": beside(evaluation, [preds, test]),
+        "delex": beside(delexed, [test]),
+        "relex": beside(relexed, [delexed]),
+    }
+
+
+class TestManifests:
+    @pytest.mark.parametrize(
+        "command",
+        ["synthesize", "validate", "train-scorer", "decode", "evaluate", "delex", "relex"],
+    )
+    def test_each_subcommand_writes_its_manifest(self, manifest_runs, command):
+        path, inputs, outputs, seeds = manifest_runs[command]
+        manifest = json.loads(path.read_text())
+        assert set(manifest) == MANIFEST_KEYS
+        assert manifest["command"] == command
+        assert manifest["seeds"] == seeds
+        assert [Path(p) for p in manifest["inputs"]] == inputs
+        assert [Path(p) for p in manifest["outputs"]] == outputs
+        assert manifest["tool_version"] == __version__
+        datetime.fromisoformat(manifest["started_at"])
+        assert manifest["elapsed_seconds"] >= 0
+        assert manifest["arguments"]["ontology"] == "weather"
+
+    def test_validate_without_report_writes_no_manifest(self, workdir, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes((workdir / "corpus" / "test.jsonl").read_bytes())
+        monkeypatch.chdir(tmp_path)
+        assert run("validate", "--corpus", corpus) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
 
 
 class TestConsoleScript:

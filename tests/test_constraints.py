@@ -12,13 +12,9 @@ from treegen.constraints import (
     ROOT,
     AlignmentState,
     NoValidAlignment,
-    TokenRejected,
-    accept_token,
     advance,
-    align_states,
     build_constraints,
     check_tree,
-    compute_ellipsis_options,
     filter_to_reference,
     first_rejection,
     initial_states,
@@ -59,6 +55,16 @@ WEATHER = weather_ontology()
 TWO_ACT_MR = parse_mr("[JOIN [INFORM [A ] [B ] ] [INFORM [B ] [D ] ] ]", SCHEMA)
 
 
+def feed(tracker, tokens, states=None):
+    """Advance through tokens, asserting that the automaton accepts each."""
+    if states is None:
+        states = initial_states(tracker)
+    for token in tokens:
+        states = advance(tracker, states, token)
+        assert states, f"{token!r} rejected"
+    return states
+
+
 def automaton_accepted_set(mr):
     """Exhaustive breadth-first expansion of the automaton's language."""
     tracker = build_constraints(mr)
@@ -84,8 +90,8 @@ class TestBuildConstraints:
         tracker = build_constraints(TWO_ACT_MR)
         labels = [n.label for n in tracker.nodes]
         assert labels == ["JOIN", "INFORM", "A", "B", "INFORM", "B", "D"]
-        assert tracker.label_index["INFORM"] == {1, 4}
-        assert tracker.label_index["B"] == {3, 5}
+        assert {i for i, label in enumerate(labels) if label == "INFORM"} == {1, 4}
+        assert {i for i, label in enumerate(labels) if label == "B"} == {3, 5}
         assert tracker.parent_map[0] == ROOT
         assert tracker.children_map[0] == (1, 4)
         assert tracker.children_map[1] == (2, 3)
@@ -115,7 +121,7 @@ class TestBuildConstraints:
 
 class TestEllipsisOptions:
     def test_two_act_example_groups(self):
-        options = compute_ellipsis_options(TWO_ACT_MR)
+        options = build_constraints(TWO_ACT_MR).ellipsis_options
         assert options[3] == {3, 5}
         assert options[5] == {3, 5}
         for idx in (0, 1, 2, 4, 6):
@@ -123,12 +129,12 @@ class TestEllipsisOptions:
 
     def test_all_distinct_subtrees_are_singletons(self):
         mr = parse_mr("[INFORM [A x ] [B y ] [C z ] ]", SCHEMA)
-        options = compute_ellipsis_options(mr)
-        assert all(group == {idx} for idx, group in options.items())
+        options = build_constraints(mr).ellipsis_options
+        assert all(group == {idx} for idx, group in enumerate(options))
 
     def test_contrastive_weather_example_groups(self):
         mr, _ = contrastive_weather_pair()
-        options = compute_ellipsis_options(mr)
+        options = build_constraints(mr).ellipsis_options
         nodes, _ = ref_number_dfs(mr.root)
         date_ids = [i for i, n in enumerate(nodes) if n.label == "date_time"]
         loc_ids = [i for i, n in enumerate(nodes) if n.label == "location"]
@@ -139,14 +145,14 @@ class TestEllipsisOptions:
         rng = random.Random(13)
         for _ in range(300):
             tree = random_mr(rng, WEATHER, max_nodes=9, value_pool=("v",))
-            options = compute_ellipsis_options(tree)
-            assert options == ref_groups(tree.root)
+            options = build_constraints(tree).ellipsis_options
+            assert dict(enumerate(options)) == ref_groups(tree.root)
 
     def test_every_group_contains_self(self):
         rng = random.Random(17)
         for _ in range(200):
             tree = random_mr(rng, WEATHER, max_nodes=9)
-            for idx, group in compute_ellipsis_options(tree).items():
+            for idx, group in enumerate(build_constraints(tree).ellipsis_options):
                 assert idx in group
 
 
@@ -159,34 +165,23 @@ class TestAcceptToken:
 
     def test_words_accepted_unconditionally(self):
         tracker = build_constraints(TWO_ACT_MR)
-        states = initial_states(tracker)
-        states = accept_token(states, "[JOIN", tracker)
-        before = states
-        states = accept_token(states, "hello", tracker)
-        assert states == before
+        states = feed(tracker, ["[JOIN"])
+        assert advance(tracker, states, "hello") == states
 
     def test_join_children_out_of_order_rejected(self):
         # opening the second INFORM's B first strands the first child:
         # it has no ellipsis twin, so the Open cannot be accepted
         mr = parse_mr("[JOIN [INFORM [A ] ] [INFORM [B ] ] ]", SCHEMA)
-        tracker = build_constraints(mr)
-        states = initial_states(tracker)
-        states = accept_token(states, "[JOIN", tracker)
-        states = accept_token(states, "[INFORM", tracker)
-        with pytest.raises(TokenRejected) as exc:
-            accept_token(states, "[B", tracker)
-        assert exc.value.token == "[B"
+        tokens = ["[JOIN", "[INFORM", "[B"]
+        assert tokens[first_rejection(mr, tokens)] == "[B"
 
     def test_fork_between_twin_acts_resolves_via_join_order(self):
         mr = parse_mr("[JOIN [INFORM [A ] ] [INFORM [A ] ] ]", SCHEMA)
         tracker = build_constraints(mr)
-        states = initial_states(tracker)
-        for token in ("[JOIN", "[INFORM"):
-            states = accept_token(states, token, tracker)
+        states = feed(tracker, ("[JOIN", "[INFORM"))
         # the opened act could be either twin
         assert {s.parent for s in states} == {1, 3}
-        for token in ("[A", CLOSE, CLOSE, "[INFORM"):
-            states = accept_token(states, token, tracker)
+        states = feed(tracker, ("[A", CLOSE, CLOSE, "[INFORM"), states)
         # a second INFORM can only be the later child: the fork resolves
         assert {s.parent for s in states} == {3}
 
@@ -194,43 +189,32 @@ class TestAcceptToken:
         # the two INFORMs differ, so realizing the second one first would
         # strand the first with no twin; no alignment forks for it
         tracker = build_constraints(TWO_ACT_MR)
-        states = initial_states(tracker)
-        for token in ("[JOIN", "[INFORM"):
-            states = accept_token(states, token, tracker)
+        states = feed(tracker, ("[JOIN", "[INFORM"))
         assert {s.parent for s in states} == {1}
-        states = accept_token(states, "[A", tracker)
+        states = feed(tracker, ["[A"], states)
         assert {s.parent for s in states} == {2}
 
     def test_repetition_rejected(self):
         mr = parse_mr("[INFORM [A x ] [B y ] ]", SCHEMA)
         tracker = build_constraints(mr)
-        states = initial_states(tracker)
-        for token in ("[INFORM", "[A", "x", CLOSE):
-            states = accept_token(states, token, tracker)
-        with pytest.raises(TokenRejected):
-            accept_token(states, "[A", tracker)
+        states = feed(tracker, ("[INFORM", "[A", "x", CLOSE))
+        assert not advance(tracker, states, "[A")
 
     def test_hallucinated_label_rejected(self):
         mr = parse_mr("[INFORM [A x ] ]", SCHEMA)
         tracker = build_constraints(mr)
-        states = accept_token(initial_states(tracker), "[INFORM", tracker)
-        with pytest.raises(TokenRejected):
-            accept_token(states, "[B", tracker)
+        states = feed(tracker, ["[INFORM"])
+        assert not advance(tracker, states, "[B")
 
     def test_omitting_unique_argument_rejected_at_close(self):
         mr = parse_mr("[INFORM [A x ] [B y ] ]", SCHEMA)
-        tracker = build_constraints(mr)
-        states = initial_states(tracker)
-        for token in ("[INFORM", "[A", "x", CLOSE):
-            states = accept_token(states, token, tracker)
-        with pytest.raises(TokenRejected) as exc:
-            accept_token(states, CLOSE, tracker)
-        assert exc.value.token == CLOSE
+        tokens = ["[INFORM", "[A", "x", CLOSE, CLOSE]
+        assert first_rejection(mr, tokens) == 4  # the second CLOSE
 
     def test_eos_before_root_completes_rejected(self):
         mr = parse_mr("[INFORM [A x ] ]", SCHEMA)
         tracker = build_constraints(mr)
-        states = accept_token(initial_states(tracker), "[INFORM", tracker)
+        states = feed(tracker, ["[INFORM"])
         assert not advance(tracker, states, EOS)
 
     def test_empty_output_rejected(self):
@@ -242,7 +226,7 @@ class TestAcceptToken:
         for _ in range(100):
             tree = random_mr(rng, WEATHER, max_nodes=9)
             tracker = build_constraints(tree)
-            finals = align_states(tracker, linearize(tree) + [EOS])
+            finals = feed(tracker, linearize(tree) + [EOS])
             assert any(s.parent == ROOT for s in finals)
 
     def test_monotone_rejection(self):
@@ -417,8 +401,8 @@ class TestOracleEquivalence:
             for node in tree.root.iter_nodes():
                 if node.kind is NodeKind.RELATION:
                     covered_relations.add(node.label)
-            groups = compute_ellipsis_options(tree)
-            if any(len(g) > 1 for g in groups.values()):
+            groups = build_constraints(tree).ellipsis_options
+            if any(len(g) > 1 for g in groups):
                 saw_group = True
             assert automaton_accepted_set(tree) == enumerate_valid_skeletons(tree)
         assert saw_group
@@ -433,21 +417,18 @@ class TestOracleEquivalence:
             SCHEMA,
         )
         tracker = build_constraints(mr)
-        states = initial_states(tracker)
-        for token in ("[JOIN", "[JOIN"):
-            states = accept_token(states, token, tracker)
+        states = feed(tracker, ("[JOIN", "[JOIN"))
         # realizing the inner INFORM (eliding the identical outer one) is
         # fine, but jumping straight to RECOMMEND would consume both twins
         assert advance(tracker, states, "[INFORM")
-        with pytest.raises(TokenRejected):
-            accept_token(states, "[RECOMMEND", tracker)
+        assert not advance(tracker, states, "[RECOMMEND")
         assert automaton_accepted_set(mr) == enumerate_valid_skeletons(mr)
 
 
 class TestMaskScores:
     def test_valid_candidates_unchanged(self):
         tracker = build_constraints(TWO_ACT_MR)
-        states = accept_token(initial_states(tracker), "[JOIN", tracker)
+        states = feed(tracker, ["[JOIN"])
         candidates = ["[INFORM", "hello"]
         scores = np.array([-1.0, -2.0])
         masked = mask_scores(states, tracker, candidates, scores)
@@ -456,10 +437,8 @@ class TestMaskScores:
     def test_illegal_open_masked_to_neg_inf(self):
         mr, _, _, invalid_3 = restaurant_example()
         tracker = build_constraints(mr)
-        states = initial_states(tracker)
         pos = first_rejection(mr, invalid_3)
-        for token in invalid_3[:pos]:
-            states = accept_token(states, token, tracker)
+        states = feed(tracker, invalid_3[:pos])
         masked = mask_scores(
             states, tracker, [invalid_3[pos], "word"], [-0.5, -0.5]
         )
@@ -468,7 +447,7 @@ class TestMaskScores:
 
     def test_states_untouched_by_masking(self):
         tracker = build_constraints(TWO_ACT_MR)
-        states = accept_token(initial_states(tracker), "[JOIN", tracker)
+        states = feed(tracker, ["[JOIN"])
         before = set(states)
         mask_scores(states, tracker, ["[INFORM", CLOSE, EOS], [0.0, 0.0, 0.0])
         assert set(states) == before
@@ -484,9 +463,7 @@ class TestMaskScores:
         base = rng.choice(sorted(accepted))
         cut = rng.randrange(len(base))
         prefix = base[:cut]
-        states = initial_states(tracker)
-        for token in prefix:
-            states = accept_token(states, token, tracker)
+        states = feed(tracker, prefix)
         labels = sorted({open_token(n.label) for n in tree.root.iter_nodes()})
         candidates = labels + [CLOSE, EOS, "[JUSTIFY", "someword"]
         scores = np.zeros(len(candidates))
@@ -526,7 +503,7 @@ class TestFilterToReference:
         checked = 0
         for _ in range(300):
             tree = random_mr(rng, WEATHER, max_nodes=10)
-            tracker_groups = compute_ellipsis_options(tree)
+            tracker_groups = build_constraints(tree).ellipsis_options
             nodes, parents = ref_number_dfs(tree.root)
             # pick a deletable node: not the root, no structural twin
             choices = [
@@ -638,7 +615,7 @@ class TestMinCompletionTokens:
     def test_closed_out_state_costs_only_eos(self):
         mr = parse_mr("[INFORM [temp 20 ] ]", WEATHER)
         tracker = build_constraints(mr)
-        states = align_states(tracker, "[INFORM [temp 20 ] ]".split())
+        states = feed(tracker, "[INFORM [temp 20 ] ]".split() + [EOS])
         assert all(s.parent == ROOT for s in states)
         assert min(min_completion_tokens(tracker, s) for s in states) == 1
 

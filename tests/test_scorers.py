@@ -245,6 +245,12 @@ class TestSaveLoad:
         with pytest.raises(ValueError):
             NGramModel.load(path)
 
+    def test_missing_fields_rejected_by_name(self, tmp_path):
+        path = tmp_path / "hollow.json"
+        path.write_text(json.dumps({"format": "treegen-ngram", "version": 1}))
+        with pytest.raises(ValueError, match="'vocabulary'"):
+            NGramModel.load(path)
+
 
 class TestPerplexity:
     def test_trained_model_beats_uniform_on_training_data(self):
@@ -356,6 +362,17 @@ class TestServeLoop:
                     remote.logprobs(prefix, context),
                     model.logprobs(prefix, context),
                 )
+
+    def test_close_lets_the_child_exit_on_its_own(self, tmp_path):
+        _, _, model = TestSignatureSubmodels().build()
+        model_path = tmp_path / "model.json"
+        model.save(model_path)
+        script = tmp_path / "serve.py"
+        script.write_text(SERVE_LOOP_SERVER)
+        remote = ExternalScorer([sys.executable, str(script), str(model_path)], model.vocabulary)
+        remote.logprobs([], None)
+        remote.close()
+        assert remote._proc.returncode == 0
 
     def test_loop_answers_in_process_streams(self):
         import io
