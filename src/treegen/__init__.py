@@ -11,7 +11,7 @@ from .beam import (
     DecodingFailed,
     decode,
 )
-from .constraints import build_constraints, check_tree, first_rejection, mask_scores
+from .constraints import build_constraints, check_tree, first_rejection
 from .corpus import CorpusExample, read_corpus, write_corpus
 from .delex import DelexTable, delexicalize, delexicalize_example, relexicalize
 from .metrics import EvalReport, bleu4, diversity, sentence_bleu, tree_accuracy
@@ -47,7 +47,6 @@ __all__ = [
     "build_constraints",
     "check_tree",
     "first_rejection",
-    "mask_scores",
     "CorpusExample",
     "read_corpus",
     "write_corpus",

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constraints import (
-    advance,
+    StateSet,
     build_constraints,
     check_tree,
     initial_states,
@@ -36,7 +36,6 @@ from .trees import (
     MrTree,
     as_tree,
     canonicalize,
-    is_open,
     linearize,
     open_token,
 )
@@ -116,13 +115,9 @@ def decode(
 
     constrained = config.mode is DecodeMode.CONSTRAINED
     tracker = build_constraints(tree)
-    structural = vocab.structural_ids
-    structural_tokens = [vocab.token(i) for i in structural]
+    structural = np.array(vocab.structural_ids)
     eos_id = vocab.eos_id
     size = len(vocab)
-    word_ids = np.array(
-        [i for i in range(size) if i not in set(structural)], dtype=int
-    )
 
     # hypothesis: (token ids, total logprob, alignment states or None)
     live = [((), 0.0, initial_states(tracker) if constrained else None)]
@@ -142,22 +137,33 @@ def decode(
             if max(score for _, score, _ in live) < bound:
                 break
         rows = []
+        # per hypothesis: structural token id -> the state set it leads to
+        moves: list[dict[int, StateSet]] = []
         for ids, score, states in live:
             vec = np.asarray(scorer.logprobs(ids, context), dtype=float)
+            successors: dict[int, StateSet] = {}
             if constrained:
                 # budget: tokens that may still follow the one chosen now.
                 # Structural moves whose cheapest completion overruns it are
                 # masked, and once idling would overrun it, words are masked
                 # too, so surviving hypotheses always close out in time.
                 budget = max_length - len(ids) - 1
-                valid = valid_structural_tokens(tracker, states, budget=budget)
-                vec = vec.copy()
-                for pos, sid in enumerate(structural):
-                    if structural_tokens[pos] not in valid:
-                        vec[sid] = -np.inf
+                successors = {
+                    vocab.id_of(token): nxt
+                    for token, nxt in valid_structural_tokens(
+                        tracker, states, budget=budget
+                    ).items()
+                }
+                allowed = list(successors)
                 if min(min_completion_tokens(tracker, s) for s in states) > budget:
-                    vec[word_ids] = -np.inf
+                    masked = np.full(size, -np.inf)
+                else:
+                    masked = vec.copy()
+                    masked[structural] = -np.inf
+                masked[allowed] = vec[allowed]
+                vec = masked
             rows.append(score + vec)
+            moves.append(successors)
         flat = np.concatenate(rows)
         # stable sort on the flattened (hypothesis, token) grid: ties go to
         # the higher-ranked hypothesis, then the smaller token id
@@ -175,11 +181,8 @@ def decode(
             if token_id == eos_id:
                 finished.append((ids, total))
             else:
-                new_states = states
-                if constrained:
-                    token = vocab.token(token_id)
-                    if token == CLOSE or is_open(token):
-                        new_states = advance(tracker, states, token)
+                # words (and every token when unconstrained) keep the states
+                new_states = moves[hyp].get(token_id, states)
                 next_live.append((ids + (token_id,), total, new_states))
             taken += 1
         live = next_live

@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -309,7 +310,7 @@ def _cmd_decode(args: argparse.Namespace) -> tuple[int, Manifest]:
                 records = list(pool.map(_decode_one, items, chunksize=chunk))
         else:
             records = [_decode_one(item) for item in items]
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, BrokenProcessPool) as exc:
         raise CliError(f"decoding failed: {exc}")
     with open(args.out, "w", encoding="utf-8") as fh:
         for record in records:

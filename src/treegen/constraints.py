@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .trees import (
     CLOSE,
     EOS,
@@ -261,15 +259,17 @@ def min_completion_tokens(tracker: ConstraintTracker, state: AlignmentState) -> 
 
 def valid_structural_tokens(
     tracker: ConstraintTracker, states: StateSet, budget: int | None = None
-) -> set[str]:
+) -> dict[str, StateSet]:
     """The Open/Close/EOS tokens acceptable from this state set.
 
-    Surface words are always acceptable and are not listed.  ``budget``
-    is the number of tokens that may still follow the candidate; when
-    given, tokens whose cheapest completion no longer fits are dropped
-    (EOS needs nothing after it and is exempt).
+    Maps each acceptable token to the state set it leads to, so a caller
+    that takes the move needs no second step.  Surface words are always
+    acceptable, leave the states unchanged, and are not listed.
+    ``budget`` is the number of tokens that may still follow the
+    candidate; when given, tokens whose cheapest completion no longer
+    fits are dropped (EOS needs nothing after it and is exempt).
     """
-    out: set[str] = set()
+    out: dict[str, StateSet] = {}
     labels = {
         tracker.nodes[c].label
         for s in states
@@ -286,30 +286,11 @@ def valid_structural_tokens(
             min(min_completion_tokens(tracker, s) for s in survivors) > budget
         ):
             continue
-        out.add(tok)
-    if advance(tracker, states, EOS):
-        out.add(EOS)
+        out[tok] = survivors
+    finished = advance(tracker, states, EOS)
+    if finished:
+        out[EOS] = finished
     return out
-
-
-def mask_scores(
-    states: StateSet,
-    tracker: ConstraintTracker,
-    candidate_tokens: Sequence[str],
-    scores: Sequence[float] | np.ndarray,
-) -> np.ndarray:
-    """Mask scores of structurally invalid candidates to -inf.
-
-    Trial acceptance only: the state set is not modified.  Word candidates
-    are never masked.
-    """
-    masked = np.array(scores, dtype=float, copy=True)
-    valid = valid_structural_tokens(tracker, states)
-    for i, token in enumerate(candidate_tokens):
-        if token == CLOSE or token == EOS or is_open(token):
-            if token not in valid:
-                masked[i] = -np.inf
-    return masked
 
 
 def _tokens_with_eos(output: str | Sequence[str]) -> list[str]:

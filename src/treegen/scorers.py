@@ -342,12 +342,16 @@ class ExternalScorer:
             )
         except OSError as exc:
             raise ScorerUnavailable(f"cannot start scorer process: {exc}") from exc
-        handshake = self._read_frame()
-        size = handshake.get("vocab_size")
-        if size != len(vocabulary):
-            raise ProtocolViolation(
-                f"handshake vocab_size {size!r} != local vocabulary {len(vocabulary)}"
-            )
+        try:
+            size = self._read_frame().get("vocab_size")
+            if size != len(vocabulary):
+                raise ProtocolViolation(
+                    f"handshake vocab_size {size!r} != local vocabulary {len(vocabulary)}"
+                )
+        except (ProtocolViolation, ScorerUnavailable):
+            # the caller never gets the object, so nothing else can close it
+            self.close()
+            raise
 
     def _read_frame(self) -> dict:
         assert self._proc.stdout is not None

@@ -290,6 +290,7 @@ def canonicalize(tree: MrTree | MrNode) -> MrTree:
 
     Order is (label, serialized subtree); relation children keep their
     order (JOIN order is meaningful) and subfields keep declaration order.
+    Subtrees already in canonical order are returned as they are.
     """
 
     def rec(node: MrNode) -> MrNode:
@@ -298,6 +299,8 @@ def canonicalize(tree: MrTree | MrNode) -> MrTree:
             children = tuple(
                 sorted(children, key=lambda c: (c.label, structure_key(c)))
             )
+        if all(new is old for new, old in zip(children, node.children)):
+            return node
         return replace(node, children=children)
 
     return MrTree(rec(_root_of(as_tree(tree))))

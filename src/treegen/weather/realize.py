@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import random
 
-from ..constraints import build_constraints
+from ..constraints import ConstraintTracker, build_constraints
 from ..ontology import NodeKind
-from ..trees import AnnotatedNode, MrNode, MrTree, as_tree
+from ..trees import AnnotatedNode, MrNode, MrTree
 
 Item = AnnotatedNode | str
 
@@ -42,10 +42,6 @@ def _span(node: MrNode) -> AnnotatedNode:
     return AnnotatedNode(
         NodeKind.ARGUMENT, node.label, tuple((node.value or "").split())
     )
-
-
-def _words(text: str) -> list[Item]:
-    return list(text.split())
 
 
 def _pick(rng: random.Random, *variants: list[Item]) -> list[Item]:
@@ -206,7 +202,7 @@ def _error_items(act: MrNode, present: list[MrNode],
             bad_arg, bad_value, "is", reason]
 
 
-def _plan_ellipsis(root: MrNode, rng: random.Random,
+def _plan_ellipsis(tracker: ConstraintTracker, rng: random.Random,
                    probability: float) -> set[int]:
     """Choose argument nodes to elide, by DFS preorder id.
 
@@ -216,7 +212,6 @@ def _plan_ellipsis(root: MrNode, rng: random.Random,
     """
     if probability <= 0.0:
         return set()
-    tracker = build_constraints(root)
     nodes, parents = tracker.nodes, tracker.parent_map
     remaining = {
         i: len(node.children)
@@ -238,14 +233,12 @@ def _plan_ellipsis(root: MrNode, rng: random.Random,
     return dropped
 
 
-def _render_act(node: MrNode, idx: int, dropped: set[int],
+def _render_act(tracker: ConstraintTracker, idx: int, dropped: set[int],
                 rng: random.Random) -> AnnotatedNode:
-    present: list[MrNode] = []
-    child_id = idx + 1
-    for child in node.children:
-        if child_id not in dropped:
-            present.append(child)
-        child_id += child.node_count()
+    node = tracker.nodes[idx]
+    present = [
+        tracker.nodes[c] for c in tracker.children_map[idx] if c not in dropped
+    ]
 
     if node.label == "ERROR":
         return AnnotatedNode(
@@ -294,18 +287,17 @@ def _is_bare_verdict(node: MrNode) -> bool:
         and not node.children
 
 
-def _render(node: MrNode, idx: int, dropped: set[int],
+def _render(tracker: ConstraintTracker, idx: int, dropped: set[int],
             rng: random.Random) -> AnnotatedNode:
+    node = tracker.nodes[idx]
     if node.kind is NodeKind.ACT:
-        return _render_act(node, idx, dropped, rng)
+        return _render_act(tracker, idx, dropped, rng)
     if node.kind is not NodeKind.RELATION:
         raise NoTemplate(f"cannot realize a bare {node.kind.value}")
 
-    spans: list[AnnotatedNode] = []
-    child_id = idx + 1
-    for child in node.children:
-        spans.append(_render(child, child_id, dropped, rng))
-        child_id += child.node_count()
+    spans = [
+        _render(tracker, c, dropped, rng) for c in tracker.children_map[idx]
+    ]
 
     items: list[Item] = []
     if node.label == "JOIN":
@@ -345,10 +337,10 @@ def realize(mr: MrTree | MrNode, rng: random.Random | int,
     """
     if isinstance(rng, int):
         rng = random.Random(rng)
-    root = as_tree(mr).root
-    dropped = _plan_ellipsis(root, rng, ellipsis_probability)
-    rendered = _render(root, 0, dropped, rng)
-    if root.label != "JOIN":
+    tracker = build_constraints(mr)
+    dropped = _plan_ellipsis(tracker, rng, ellipsis_probability)
+    rendered = _render(tracker, 0, dropped, rng)
+    if tracker.nodes[0].label != "JOIN":
         rendered = AnnotatedNode(
             rendered.kind, rendered.label, rendered.items + (".",)
         )

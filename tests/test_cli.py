@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line pipeline."""
 
 import json
+import os
 import subprocess
 import sys
 from datetime import datetime
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from treegen import __version__
+from treegen import __version__, cli
 from treegen.cli import main
 
 
@@ -268,6 +269,26 @@ class TestDecodePipeline:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+
+    def test_crashed_worker_is_a_usage_error(self, workdir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_decode_one", _crash_worker)
+        code = run(
+            "decode", "--corpus", workdir / "corpus" / "test.jsonl",
+            "--model", workdir / "model.json", "--out", tmp_path / "preds.jsonl",
+            "--jobs", 2, "--limit", 4,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not (tmp_path / "preds.jsonl").exists()
+
+
+def _crash_worker(item):
+    """Stands in for the pool's per-MR function: the worker dies at once."""
+    os._exit(1)
 
 
 class TestDelexRelex:

@@ -1,9 +1,7 @@
 """The acceptance automaton: construction, stepping, masking, filtering."""
 
-import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +16,6 @@ from treegen.constraints import (
     filter_to_reference,
     first_rejection,
     initial_states,
-    mask_scores,
     min_completion_tokens,
     valid_structural_tokens,
 )
@@ -426,31 +423,32 @@ class TestOracleEquivalence:
 
 
 class TestMaskScores:
+    """The structural mask: valid_structural_tokens and its successor sets."""
+
     def test_valid_candidates_unchanged(self):
         tracker = build_constraints(TWO_ACT_MR)
         states = feed(tracker, ["[JOIN"])
-        candidates = ["[INFORM", "hello"]
-        scores = np.array([-1.0, -2.0])
-        masked = mask_scores(states, tracker, candidates, scores)
-        assert masked.tolist() == [-1.0, -2.0]
+        moves = valid_structural_tokens(tracker, states)
+        assert "[INFORM" in moves
+        assert moves["[INFORM"] == advance(tracker, states, "[INFORM")
+        assert "hello" not in moves  # words are never listed, never masked
 
     def test_illegal_open_masked_to_neg_inf(self):
         mr, _, _, invalid_3 = restaurant_example()
         tracker = build_constraints(mr)
         pos = first_rejection(mr, invalid_3)
         states = feed(tracker, invalid_3[:pos])
-        masked = mask_scores(
-            states, tracker, [invalid_3[pos], "word"], [-0.5, -0.5]
-        )
-        assert masked[0] == -math.inf
-        assert masked[1] == -0.5
+        moves = valid_structural_tokens(tracker, states)
+        assert invalid_3[pos] not in moves
+        assert "word" not in moves
 
     def test_states_untouched_by_masking(self):
         tracker = build_constraints(TWO_ACT_MR)
         states = feed(tracker, ["[JOIN"])
         before = set(states)
-        mask_scores(states, tracker, ["[INFORM", CLOSE, EOS], [0.0, 0.0, 0.0])
+        moves = valid_structural_tokens(tracker, states, budget=20)
         assert set(states) == before
+        assert moves and all(nxt != states for nxt in moves.values())
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6))
@@ -466,16 +464,33 @@ class TestMaskScores:
         states = feed(tracker, prefix)
         labels = sorted({open_token(n.label) for n in tree.root.iter_nodes()})
         candidates = labels + [CLOSE, EOS, "[JUSTIFY", "someword"]
-        scores = np.zeros(len(candidates))
-        masked = mask_scores(states, tracker, candidates, scores)
-        for token, value in zip(candidates, masked):
-            if token == "someword":
-                assert value == 0.0  # words are never masked
+        moves = valid_structural_tokens(tracker, states)
+        assert "someword" not in moves  # words are never masked
+        viable = {
+            token
+            for token in candidates
+            if prefix + (token,) in prefixes
+            or (token == EOS and prefix + (EOS,) in accepted)
+        }
+        assert set(moves) == viable, (tree, prefix)
+        for token, successors in moves.items():
+            assert successors == advance(tracker, states, token), (tree, prefix, token)
+
+        # the budget prune is sound: every structural move it keeps still has
+        # an accepted skeleton that fits in the tokens the budget leaves
+        budget = rng.randrange(len(base) - cut + 2)
+        kept = valid_structural_tokens(tracker, states, budget=budget)
+        assert set(kept) <= set(moves)
+        for token, successors in kept.items():
+            assert successors == moves[token]
+            if token == EOS:
                 continue
-            viable = prefix + (token,) in prefixes or (
-                token == EOS and prefix + (EOS,) in accepted
-            )
-            assert (value == 0.0) == viable, (tree, prefix, token)
+            extended = prefix + (token,)
+            assert any(
+                seq[: len(extended)] == extended
+                and len(seq) - len(extended) <= budget
+                for seq in accepted
+            ), (tree, prefix, token, budget)
 
 
 class TestFilterToReference:

@@ -7,6 +7,7 @@ that recomputes counts from the raw streams on every call.
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -270,9 +271,11 @@ class TestPerplexity:
 
 
 UNIFORM_SERVER = """\
-import json, math, sys
+import json, math, os, sys
 n = int(sys.argv[1])
 mode = sys.argv[2] if len(sys.argv) > 2 else "ok"
+with open(sys.argv[0] + ".pid", "w") as fh:
+    fh.write(str(os.getpid()))
 print(json.dumps({"vocab_size": n}), flush=True)
 if mode == "die":
     sys.exit(0)
@@ -310,6 +313,10 @@ class TestExternalScorer:
         vocab = self.vocab()
         with pytest.raises(ProtocolViolation, match="vocab_size"):
             ExternalScorer(spawn_args(tmp_path, len(vocab) + 3), vocab)
+        # the failed handshake closed the child: it has exited and been reaped
+        pid = int((tmp_path / "server.py.pid").read_text())
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
     def test_wrong_vector_length(self, tmp_path):
         vocab = self.vocab()
