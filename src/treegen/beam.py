@@ -28,7 +28,7 @@ from .constraints import (
     min_completion_tokens,
     valid_structural_tokens,
 )
-from .scorers import Scorer
+from .scorers import Scorer, bind
 from .trees import (
     CLOSE,
     EOS,
@@ -115,6 +115,7 @@ def decode(
 
     constrained = config.mode is DecodeMode.CONSTRAINED
     tracker = build_constraints(tree)
+    session = bind(scorer, context)
     structural = np.array(vocab.structural_ids)
     eos_id = vocab.eos_id
     size = len(vocab)
@@ -139,8 +140,8 @@ def decode(
         rows = []
         # per hypothesis: structural token id -> the state set it leads to
         moves: list[dict[int, StateSet]] = []
-        for ids, score, states in live:
-            vec = np.asarray(scorer.logprobs(ids, context), dtype=float)
+        logprobs = session.logprobs([ids for ids, _, _ in live])
+        for (ids, score, states), vec in zip(live, logprobs):
             successors: dict[int, StateSet] = {}
             if constrained:
                 # budget: tokens that may still follow the one chosen now.

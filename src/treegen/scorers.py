@@ -6,10 +6,17 @@ per MR signature), and a bridge to an external process speaking a
 newline-delimited JSON protocol.  All of them expose ``logprobs`` over a
 shared :class:`~treegen.vocab.Vocabulary` and return full-vocabulary
 log-probability vectors whose exponentials sum to one.
+
+The decoder scores through :func:`bind`: one session per MR, whose
+``logprobs(prefixes)`` answers a whole beam with one (rows x vocab)
+matrix.  A scorer with its own ``bind`` resolves the MR once per
+session; any other scorer is lifted by an adapter that asks it prefix by
+prefix.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import subprocess
@@ -27,6 +34,9 @@ MODEL_VERSION = 1
 # Probability mass must sum to 1 within these tolerances.
 BUILTIN_SUM_TOLERANCE = 1e-9
 EXTERNAL_SUM_TOLERANCE = 1e-6
+
+# The one wire-protocol version spoken, stated in the handshake.
+PROTOCOL_VERSION = 2
 
 # Seconds a scorer child gets to exit on its own once its input closes,
 # and then again after SIGTERM, before it is killed.
@@ -56,6 +66,35 @@ class Scorer(Protocol):
         ...
 
 
+class ScorerSession(Protocol):
+    def logprobs(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+        """(len(prefixes), vocab) float64 log-probabilities, one row per prefix."""
+        ...
+
+
+class _PerPrefixSession:
+    """Lifts a scorer that only has ``logprobs(prefix, context)``."""
+
+    def __init__(self, scorer: Scorer, context: Context):
+        self._scorer = scorer
+        self._context = context
+        self._size = len(scorer.vocabulary)
+
+    def logprobs(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+        out = np.empty((len(prefixes), self._size))
+        for row, prefix in zip(out, prefixes):
+            row[:] = self._scorer.logprobs(prefix, self._context)
+        return out
+
+
+def bind(scorer: Scorer, context: Context) -> ScorerSession:
+    """A scoring session for one MR: the scorer's own, or the adapter."""
+    native = getattr(scorer, "bind", None)
+    if native is not None:
+        return native(context)
+    return _PerPrefixSession(scorer, context)
+
+
 def _context_ids(vocabulary: Vocabulary, context: Context) -> list[int]:
     if context is None:
         return []
@@ -78,10 +117,9 @@ def _context_signature(vocabulary: Vocabulary, context: Context) -> str:
     return " ".join(t for t in tokens if is_open(t) or t == CLOSE)
 
 
-def _check_prefix(vocabulary: Vocabulary, prefix: Sequence[int]) -> None:
-    for i in prefix:
-        if not 0 <= i < len(vocabulary):
-            raise UnknownToken(i)
+def _check_prefix(size: int, prefix: Sequence[int]) -> None:
+    if len(prefix) and (min(prefix) < 0 or max(prefix) >= size):
+        raise UnknownToken(next(i for i in prefix if not 0 <= i < size))
 
 
 class UniformScorer:
@@ -92,7 +130,7 @@ class UniformScorer:
         self._vector = np.full(len(vocabulary), -math.log(len(vocabulary)))
 
     def logprobs(self, prefix: Sequence[int], context: Context = None) -> np.ndarray:
-        _check_prefix(self.vocabulary, prefix)
+        _check_prefix(len(self.vocabulary), prefix)
         return self._vector.copy()
 
 
@@ -222,20 +260,16 @@ class NGramModel:
         self._cache[(key, ctx)] = vec
         return vec
 
-    def _table_for(self, context: Context) -> tuple[str, _CountTable]:
+    def bind(self, context: Context = None) -> "_NGramSession":
+        """A session with the MR's signature and sub-table resolved once."""
         sig = _context_signature(self.vocabulary, context)
         table = self._signature_tables.get(sig)
-        if table is not None:
-            return sig, table
-        return "", self._global
+        if table is None:
+            sig, table = "", self._global
+        return _NGramSession(self, sig, table)
 
     def logprobs(self, prefix: Sequence[int], context: Context = None) -> np.ndarray:
-        _check_prefix(self.vocabulary, prefix)
-        key, table = self._table_for(context)
-        n = self.order - 1
-        padded = [self.vocabulary.bos_id] * n + list(prefix)
-        ctx = tuple(padded[len(padded) - n :]) if n else ()
-        return np.log(self._prob_vector(key, table, ctx))
+        return self.bind(context).logprobs([prefix])[0]
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -286,6 +320,38 @@ class NGramModel:
         return model
 
 
+class _NGramSession:
+    """One MR's view of an n-gram model, with a log-vector per context."""
+
+    def __init__(self, model: NGramModel, key: str, table: _CountTable):
+        self._model = model
+        self._key = key
+        self._table = table
+        self._size = len(model.vocabulary)
+        self._n = model.order - 1
+        self._pad = (model.vocabulary.bos_id,) * self._n
+        # dies with the session, so it holds at most one decode's contexts
+        self._memo: dict[tuple[int, ...], np.ndarray] = {}
+
+    def logprobs(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+        n = self._n
+        out = np.empty((len(prefixes), self._size))
+        for row, prefix in zip(out, prefixes):
+            _check_prefix(self._size, prefix)
+            if not n:
+                ctx = ()
+            elif len(prefix) >= n:
+                ctx = tuple(prefix[-n:])
+            else:
+                ctx = self._pad[len(prefix) :] + tuple(prefix)
+            vec = self._memo.get(ctx)
+            if vec is None:
+                vec = np.log(self._model._prob_vector(self._key, self._table, ctx))
+                self._memo[ctx] = vec
+            row[:] = vec
+        return out
+
+
 def train_ngram(
     corpus: Iterable[tuple[Context, Sequence[str]]],
     order: int = 4,
@@ -321,10 +387,18 @@ def train_ngram(
 
 # -- external scorer protocol ----------------------------------------------
 #
-# Newline-delimited JSON over the child's standard streams.
-#   handshake (server -> client): {"vocab_size": int}
-#   request   (client -> server): {"id": int, "prefix": [int], "context": [int]}
-#   response  (server -> client): {"id": int, "logprobs": [float]}  (vocab-size entries)
+# Newline-delimited JSON over the child's standard streams, one request
+# per beam step.
+#   handshake (server -> client): {"vocab_size": int, "protocol": 2}
+#   request   (client -> server): {"id": int, "context": [int], "prefixes": [[int], ...]}
+#   response  (server -> client): {"id": int, "logprobs": str}
+#       base64 of little-endian float64, len(prefixes) x vocab_size, row-major
+#   error     (server -> client): {"id": int | null, "error": str}
+#       the server could not answer that request; it keeps serving
+
+
+def _encode_matrix(matrix: np.ndarray) -> str:
+    return base64.b64encode(np.asarray(matrix, dtype="<f8").tobytes()).decode("ascii")
 
 
 class ExternalScorer:
@@ -343,7 +417,13 @@ class ExternalScorer:
         except OSError as exc:
             raise ScorerUnavailable(f"cannot start scorer process: {exc}") from exc
         try:
-            size = self._read_frame().get("vocab_size")
+            handshake = self._read_frame()
+            protocol = handshake.get("protocol")
+            if protocol != PROTOCOL_VERSION:
+                raise ProtocolViolation(
+                    f"handshake protocol {protocol!r} != {PROTOCOL_VERSION}"
+                )
+            size = handshake.get("vocab_size")
             if size != len(vocabulary):
                 raise ProtocolViolation(
                     f"handshake vocab_size {size!r} != local vocabulary {len(vocabulary)}"
@@ -366,15 +446,20 @@ class ExternalScorer:
             raise ProtocolViolation(f"frame is not an object: {line!r}")
         return frame
 
+    def bind(self, context: Context = None) -> "_ExternalSession":
+        return _ExternalSession(self, _context_ids(self.vocabulary, context))
+
     def logprobs(self, prefix: Sequence[int], context: Context = None) -> np.ndarray:
-        _check_prefix(self.vocabulary, prefix)
+        return self.bind(context).logprobs([prefix])[0]
+
+    def _score(self, context: list[int], prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+        """One request and its response: a (len(prefixes), vocab) matrix."""
+        size = len(self.vocabulary)
+        for prefix in prefixes:
+            _check_prefix(size, prefix)
         request_id = self._next_id
         self._next_id += 1
-        request = {
-            "id": request_id,
-            "prefix": list(prefix),
-            "context": _context_ids(self.vocabulary, context),
-        }
+        request = {"id": request_id, "context": context, "prefixes": list(prefixes)}
         assert self._proc.stdin is not None
         try:
             self._proc.stdin.write(json.dumps(request) + "\n")
@@ -382,19 +467,32 @@ class ExternalScorer:
         except (BrokenPipeError, OSError) as exc:
             raise ScorerUnavailable("scorer process pipe is closed") from exc
         frame = self._read_frame()
+        if "error" in frame:
+            raise ProtocolViolation(f"scorer refused request {request_id}: {frame['error']}")
         if frame.get("id") != request_id:
             raise ProtocolViolation(f"response id {frame.get('id')!r} != {request_id}")
-        logprobs = frame.get("logprobs")
-        if not isinstance(logprobs, list) or len(logprobs) != len(self.vocabulary):
-            got = len(logprobs) if isinstance(logprobs, list) else logprobs
+        encoded = frame.get("logprobs")
+        if not isinstance(encoded, str):
             raise ProtocolViolation(
-                f"logprobs must have {len(self.vocabulary)} entries, got {got!r}"
+                f"logprobs must be a base64 string, got {type(encoded).__name__}"
             )
-        vec = np.asarray(logprobs, dtype=float)
-        mass = float(np.exp(vec).sum())
-        if not math.isfinite(mass) or abs(mass - 1.0) > EXTERNAL_SUM_TOLERANCE:
-            raise ProtocolViolation(f"probabilities sum to {mass}, not 1")
-        return vec
+        try:
+            raw = base64.b64decode(encoded, validate=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII string
+            raise ProtocolViolation(f"logprobs is not base64: {exc}") from exc
+        rows = len(prefixes)
+        if len(raw) != 8 * rows * size:
+            raise ProtocolViolation(
+                f"logprobs must hold {8 * rows * size} bytes "
+                f"({rows} rows x {size} float64), got {len(raw)}"
+            )
+        matrix = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(rows, size)
+        mass = np.exp(matrix).sum(axis=1)
+        bad = ~np.isfinite(mass) | (np.abs(mass - 1.0) > EXTERNAL_SUM_TOLERANCE)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ProtocolViolation(f"row {row}: probabilities sum to {mass[row]}, not 1")
+        return matrix
 
     def close(self) -> None:
         proc = self._proc
@@ -422,21 +520,59 @@ class ExternalScorer:
         self.close()
 
 
+class _ExternalSession:
+    """One MR's context ids, sent with every request of a decode."""
+
+    def __init__(self, scorer: ExternalScorer, context: list[int]):
+        self._scorer = scorer
+        self._context = context
+
+    def logprobs(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+        return self._scorer._score(self._context, prefixes)
+
+
+def _is_token_ids(value) -> bool:
+    return isinstance(value, list) and all(type(i) is int for i in value)
+
+
+def _answer(scorer: Scorer, line: str) -> dict:
+    """The response frame, or error frame, for one request line."""
+    try:
+        request = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return {"id": None, "error": f"request is not JSON: {exc}"}
+    if not isinstance(request, dict):
+        return {"id": None, "error": "request is not a JSON object"}
+    request_id = request.get("id")
+    for field in ("context", "prefixes"):
+        if field not in request:
+            return {"id": request_id, "error": f"request has no {field!r}"}
+    context, prefixes = request["context"], request["prefixes"]
+    if not _is_token_ids(context):
+        return {"id": request_id, "error": "context must be a list of token ids"}
+    if not isinstance(prefixes, list) or not all(_is_token_ids(p) for p in prefixes):
+        return {"id": request_id, "error": "prefixes must be lists of token ids"}
+    try:
+        matrix = bind(scorer, context).logprobs(prefixes)
+    except UnknownToken as exc:
+        return {"id": request_id, "error": f"unknown token id {exc.args[0]!r}"}
+    return {"id": request_id, "logprobs": _encode_matrix(matrix)}
+
+
 def serve_loop(scorer: Scorer, in_stream: IO[str], out_stream: IO[str]) -> None:
     """Answer wire-protocol requests with an in-process scorer.
 
-    Runs until the input stream ends.  Lets any scorer be mounted as a
+    Runs until the input stream ends; a request it cannot answer gets an
+    error frame and the loop goes on.  Lets any scorer be mounted as a
     child process, which is also how the protocol tests drive doubles.
     """
-    out_stream.write(json.dumps({"vocab_size": len(scorer.vocabulary)}) + "\n")
+    handshake = {"vocab_size": len(scorer.vocabulary), "protocol": PROTOCOL_VERSION}
+    out_stream.write(json.dumps(handshake) + "\n")
     out_stream.flush()
     for line in in_stream:
         if not line.strip():
             continue
-        request = json.loads(line)
-        vec = scorer.logprobs(request["prefix"], request["context"])
-        response = {"id": request["id"], "logprobs": [float(x) for x in vec]}
-        out_stream.write(json.dumps(response) + "\n")
+        out_stream.write(json.dumps(_answer(scorer, line)) + "\n")
         out_stream.flush()
 
 
@@ -444,14 +580,19 @@ def serve_loop(scorer: Scorer, in_stream: IO[str], out_stream: IO[str]) -> None:
 
 
 def sequence_logprob(scorer: Scorer, tokens: Sequence[str], context: Context = None) -> float:
-    """Total log-probability of a token sequence ending in EOS."""
+    """Total log-probability of a token sequence ending in EOS.
+
+    Every prefix is scored in one session call; the total adds the
+    per-token log-probabilities in sequence order.
+    """
     vocab = scorer.vocabulary
     ids = vocab.encode(tokens)
     if not ids or ids[-1] != vocab.eos_id:
         ids.append(vocab.eos_id)
+    matrix = bind(scorer, context).logprobs([ids[:pos] for pos in range(len(ids))])
     total = 0.0
-    for pos, target in enumerate(ids):
-        total += float(scorer.logprobs(ids[:pos], context)[target])
+    for row, target in zip(matrix, ids):
+        total += float(row[target])
     return total
 
 

@@ -14,6 +14,7 @@ linearization.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence, Union
 
 from .ontology import NodeKind, Ontology, UnknownLabel
@@ -285,6 +286,19 @@ def structure_key(node: MrNode) -> tuple:
     )
 
 
+def ordered_arguments(children: Iterable[MrNode]) -> list[MrNode]:
+    """Arguments in canonical order: by label, then by serialized subtree.
+
+    Equals a stable sort on ``(label, structure_key)``, but builds
+    structure keys only when two arguments share a label.
+    """
+    ordered = sorted(children, key=attrgetter("label"))
+    if len({c.label for c in ordered}) < len(ordered):
+        # the label sort is stable, so twins keep their input order here too
+        ordered.sort(key=lambda c: (c.label, structure_key(c)))
+    return ordered
+
+
 def canonicalize(tree: MrTree | MrNode) -> MrTree:
     """Sort argument children of each dialog act into a canonical order.
 
@@ -296,9 +310,7 @@ def canonicalize(tree: MrTree | MrNode) -> MrTree:
     def rec(node: MrNode) -> MrNode:
         children = tuple(rec(c) for c in node.children)
         if node.kind is NodeKind.ACT:
-            children = tuple(
-                sorted(children, key=lambda c: (c.label, structure_key(c)))
-            )
+            children = tuple(ordered_arguments(children))
         if all(new is old for new, old in zip(children, node.children)):
             return node
         return replace(node, children=children)
@@ -350,11 +362,7 @@ def flatten(tree: MrTree | MrNode) -> list[tuple[str, str]]:
         nonlocal act_index
         if node.kind is NodeKind.ACT:
             act_index += 1
-            args = sorted(
-                (c for c in node.children),
-                key=lambda c: (c.label, structure_key(c)),
-            )
-            for arg in args:
+            for arg in ordered_arguments(node.children):
                 pairs.append((f"{arg.label}{act_index}", arg_value(arg)))
         else:
             for child in node.children:

@@ -23,9 +23,10 @@ from treegen.beam import (
 )
 from treegen.constraints import check_tree
 from treegen.ontology import weather_ontology
-from treegen.scorers import ExternalScorer, UniformScorer, train_ngram
+from treegen.scorers import ExternalScorer, UniformScorer, bind, train_ngram
 from treegen.trees import CLOSE, EOS, canonicalize, linearize, parse_mr
 from treegen.vocab import Vocabulary
+from treegen.weather import synthesize_examples
 
 ONT = weather_ontology()
 
@@ -201,6 +202,82 @@ class TestTrainedDecode:
         assert result.candidates[0].tree_valid
 
 
+class LogprobsOnly:
+    """Hides a scorer's ``bind``, so the decode goes through the adapter."""
+
+    def __init__(self, inner):
+        self.vocabulary = inner.vocabulary
+        self._inner = inner
+
+    def logprobs(self, prefix, context=None):
+        return self._inner.logprobs(prefix, context)
+
+
+class CountingSessions:
+    """Records every bind and the prefixes of every session call."""
+
+    def __init__(self, inner):
+        self.vocabulary = inner.vocabulary
+        self._inner = inner
+        self.binds = 0
+        self.steps: list[list[tuple[int, ...]]] = []
+
+    def logprobs(self, prefix, context=None):
+        raise AssertionError("the decoder scored one prefix outside a session")
+
+    def bind(self, context=None):
+        self.binds += 1
+        session = bind(self._inner, context)
+        steps = self.steps
+
+        class Session:
+            def logprobs(self, prefixes):
+                steps.append([tuple(p) for p in prefixes])
+                return session.logprobs(prefixes)
+
+        return Session()
+
+
+MODES = list(DecodeMode)
+
+
+class TestScorerSessions:
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    def test_one_bind_and_one_call_per_step(self, mode):
+        mr_a, _, model = TestTrainedDecode().build()
+        config = DecodeConfig(beam_size=4, mode=mode)
+        counting = CountingSessions(model)
+        result = decode(mr_a, counting, config)
+        assert result.candidates == decode(mr_a, model, config).candidates
+        assert counting.binds == 1
+        assert counting.steps
+        # call k scores the live hypotheses of step k: every prefix has k
+        # ids, none repeats, and each extends a hypothesis of step k - 1
+        for k, prefixes in enumerate(counting.steps):
+            assert all(len(p) == k for p in prefixes)
+            assert len(set(prefixes)) == len(prefixes) <= config.beam_size
+            if k:
+                assert {p[:-1] for p in prefixes} <= set(counting.steps[k - 1])
+        assert counting.steps[0] == [()]
+        # every finished candidate was a live hypothesis at each of its steps
+        for candidate in result.candidates:
+            ids = tuple(model.vocabulary.encode(candidate.tokens))
+            for k in range(len(ids) + 1):
+                assert ids[:k] in counting.steps[k]
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    def test_adapter_decode_equals_native_session_decode(self, mode):
+        examples = synthesize_examples(126, seed=5)
+        pairs = [(parse_mr(ex.mr, ONT), ex.annotated_response.split()) for ex in examples]
+        model = train_ngram(pairs[:120])
+        config = DecodeConfig(beam_size=6, mode=mode)
+        for mr, _ in pairs[120:]:
+            native = decode(mr, model, config).candidates
+            lifted = decode(mr, LogprobsOnly(model), config).candidates
+            assert lifted == native
+            assert [c.score for c in lifted] == [c.score for c in native]
+
+
 class TestFailureModes:
     def test_degenerate_scorer_stutters_until_the_budget_wall(self):
         # the scorer refuses every structural token outright, so the
@@ -298,13 +375,15 @@ class TestExternalScorerDecode:
         vocab = vocab_for(mr, ["mild", "out"])
         script = tmp_path / "uniform.py"
         script.write_text(
-            "import json, math, sys\n"
+            "import base64, json, math, struct, sys\n"
             "n = int(sys.argv[1])\n"
-            'print(json.dumps({"vocab_size": n}), flush=True)\n'
+            'print(json.dumps({"vocab_size": n, "protocol": 2}), flush=True)\n'
             "for line in sys.stdin:\n"
             "    req = json.loads(line)\n"
+            '    rows = len(req["prefixes"])\n'
+            '    raw = struct.pack("<%dd" % (rows * n), *[math.log(1.0 / n)] * (rows * n))\n'
             '    print(json.dumps({"id": req["id"],'
-            ' "logprobs": [math.log(1.0 / n)] * n}), flush=True)\n'
+            ' "logprobs": base64.b64encode(raw).decode()}), flush=True)\n'
         )
         # flat scores give the unconstrained beam an immediate EOS path,
         # so both runs finish; the point is wire/in-process equality

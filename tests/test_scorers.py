@@ -5,6 +5,8 @@ reimplementation of interpolated absolute discounting (oracles.ref_ngram_prob)
 that recomputes counts from the raw streams on every call.
 """
 
+import base64
+import io
 import json
 import math
 import os
@@ -23,8 +25,10 @@ from treegen.scorers import (
     ProtocolViolation,
     ScorerUnavailable,
     UniformScorer,
+    bind,
     perplexity,
     sequence_logprob,
+    serve_loop,
     train_ngram,
 )
 from treegen.trees import canonicalize, linearize, parse_mr
@@ -270,25 +274,153 @@ class TestPerplexity:
             perplexity(scorer, [])
 
 
+class LogprobsOnly:
+    """A scorer with only the per-prefix ``logprobs``: the adapter path."""
+
+    def __init__(self, inner):
+        self.vocabulary = inner.vocabulary
+        self._inner = inner
+        self.calls = 0
+
+    def logprobs(self, prefix, context=None):
+        self.calls += 1
+        return self._inner.logprobs(prefix, context)
+
+
+class CountingBinder:
+    """Wraps a scorer's ``bind``; counts binds and session calls."""
+
+    def __init__(self, inner):
+        self.vocabulary = inner.vocabulary
+        self._inner = inner
+        self.binds = 0
+        self.requests: list[list[tuple[int, ...]]] = []
+
+    def logprobs(self, prefix, context=None):
+        raise AssertionError("the per-prefix path was used")
+
+    def bind(self, context=None):
+        self.binds += 1
+        inner = bind(self._inner, context)
+        outer = self
+
+        class Session:
+            def logprobs(self, prefixes):
+                outer.requests.append([tuple(p) for p in prefixes])
+                return inner.logprobs(prefixes)
+
+        return Session()
+
+
+class TestSessions:
+    PREFIXES = [[], ["alpha"], ["alpha", "beta"], ["zeta", "alpha", "beta", "gamma"], ["alpha"]]
+
+    def test_rows_equal_per_prefix_logprobs_bit_for_bit(self):
+        mr_a, mr_b, model = TestSignatureSubmodels().build()
+        vocab = model.vocabulary
+        prefixes = [vocab.encode(p) for p in self.PREFIXES]
+        for context in [None, mr_a, mr_b, vocab.encode(linearize(canonicalize(mr_a)))]:
+            matrix = model.bind(context).logprobs(prefixes)
+            assert matrix.shape == (len(prefixes), len(vocab))
+            assert matrix.dtype == np.float64
+            for row, prefix in zip(matrix, prefixes):
+                assert np.array_equal(row, model.logprobs(prefix, context))
+            lifted = bind(LogprobsOnly(model), context).logprobs(prefixes)
+            assert np.array_equal(lifted, matrix)
+
+    def test_rows_are_independent_of_the_memo(self):
+        # the same context twice in one call, and again in a later call,
+        # gives the same row, and writing to one answer leaves the next alone
+        model = single_sequence_model(order=3)
+        vocab = model.vocabulary
+        session = model.bind(None)
+        first = session.logprobs([vocab.encode(["a"]), vocab.encode(["a"])])
+        assert np.array_equal(first[0], first[1])
+        first[0, 0] = 123.0
+        again = session.logprobs([vocab.encode(["a"])])
+        assert np.array_equal(again[0], first[1])
+
+    def test_every_prefix_id_is_validated(self):
+        model = single_sequence_model()
+        size = len(model.vocabulary)
+        session = model.bind(None)
+        for bad in ([size], [-1], [0, 1, size + 5, 2]):
+            with pytest.raises(UnknownToken) as info:
+                session.logprobs([[0], bad])
+            assert info.value.args[0] == next(i for i in bad if not 0 <= i < size)
+
+    def test_adapter_asks_once_per_prefix(self):
+        double = LogprobsOnly(UniformScorer(Vocabulary.from_tokens(["a", "b"])))
+        matrix = bind(double, None).logprobs([[], [4], [4, 5]])
+        assert matrix.shape == (3, len(double.vocabulary))
+        assert double.calls == 3
+
+    def test_empty_request_is_an_empty_matrix(self):
+        model = single_sequence_model()
+        assert model.bind(None).logprobs([]).shape == (0, len(model.vocabulary))
+
+
+class TestSequenceLogprob:
+    def per_token_sum(self, scorer, tokens, context):
+        vocab = scorer.vocabulary
+        ids = vocab.encode(tokens) + [vocab.eos_id]
+        total = 0.0
+        for pos, target in enumerate(ids):
+            total += float(scorer.logprobs(ids[:pos], context)[target])
+        return total
+
+    def test_total_equals_per_token_sum_exactly(self):
+        mr_a, _, model = TestSignatureSubmodels().build()
+        for scorer in (model, LogprobsOnly(model)):
+            for tokens in (["alpha", "beta", "gamma"], ["zeta"], [], ["gamma"] * 7):
+                for context in (None, mr_a):
+                    assert sequence_logprob(scorer, tokens, context) == self.per_token_sum(
+                        scorer, tokens, context
+                    )
+
+    def test_one_bind_and_one_call_per_sequence(self):
+        corpus = [(None, "rain is likely today".split()), (None, "sunny all day".split())]
+        model = train_ngram(corpus, order=3)
+        counting = CountingBinder(model)
+        assert perplexity(counting, corpus) == perplexity(model, corpus)
+        assert counting.binds == len(corpus)
+        assert [len(r) for r in counting.requests] == [5, 4]
+
+
 UNIFORM_SERVER = """\
-import json, math, os, sys
+import base64, json, math, os, struct, sys
 n = int(sys.argv[1])
 mode = sys.argv[2] if len(sys.argv) > 2 else "ok"
 with open(sys.argv[0] + ".pid", "w") as fh:
     fh.write(str(os.getpid()))
-print(json.dumps({"vocab_size": n}), flush=True)
+handshake = {"vocab_size": n, "protocol": 2}
+if mode == "no-protocol":
+    del handshake["protocol"]
+elif mode == "old-protocol":
+    handshake["protocol"] = 1
+print(json.dumps(handshake), flush=True)
 if mode == "die":
     sys.exit(0)
 for line in sys.stdin:
     req = json.loads(line)
     rid = req["id"] + (1 if mode == "bad-id" else 0)
+    if mode == "error":
+        print(json.dumps({"id": rid, "error": "model not loaded"}), flush=True)
+        continue
+    rows = [[math.log(1.0 / n)] * n for _ in req["prefixes"]]
     if mode == "short":
-        vec = [math.log(1.0 / n)] * (n - 1)
+        rows[-1].pop()
     elif mode == "bad-sum":
-        vec = [math.log(1.5 / n)] * n
-    else:
-        vec = [math.log(1.0 / n)] * n
-    print(json.dumps({"id": rid, "logprobs": vec}), flush=True)
+        rows[-1] = [math.log(1.5 / n)] * n
+    elif mode == "nan":
+        rows[-1][0] = float("nan")
+    floats = [x for row in rows for x in row]
+    encoded = base64.b64encode(struct.pack("<%dd" % len(floats), *floats)).decode()
+    if mode == "bad-base64":
+        encoded = "*" + encoded[1:]
+    elif mode == "not-string":
+        encoded = floats
+    print(json.dumps({"id": rid, "logprobs": encoded}), flush=True)
 """
 
 
@@ -309,6 +441,22 @@ class TestExternalScorer:
             got = remote.logprobs([vocab.id_of("w1")], [vocab.close_id])
             assert np.allclose(got, local.logprobs([vocab.id_of("w1")], None))
 
+    def test_one_request_scores_the_whole_batch(self, tmp_path):
+        vocab = self.vocab()
+        w1, w2 = vocab.id_of("w1"), vocab.id_of("w2")
+        with ExternalScorer(spawn_args(tmp_path, len(vocab)), vocab) as remote:
+            matrix = remote.bind([vocab.close_id]).logprobs([[], [w1], [w1, w2]])
+            assert remote._next_id == 1
+        assert matrix.shape == (3, len(vocab))
+        assert np.array_equal(matrix, np.full((3, len(vocab)), math.log(1.0 / len(vocab))))
+
+    def test_prefix_ids_checked_before_sending(self, tmp_path):
+        vocab = self.vocab()
+        with ExternalScorer(spawn_args(tmp_path, len(vocab)), vocab) as remote:
+            with pytest.raises(UnknownToken):
+                remote.bind(None).logprobs([[], [len(vocab)]])
+            assert remote._next_id == 0
+
     def test_handshake_size_mismatch(self, tmp_path):
         vocab = self.vocab()
         with pytest.raises(ProtocolViolation, match="vocab_size"):
@@ -318,16 +466,50 @@ class TestExternalScorer:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
 
+    @pytest.mark.parametrize("mode", ["no-protocol", "old-protocol"])
+    def test_handshake_without_protocol_2(self, tmp_path, mode):
+        vocab = self.vocab()
+        with pytest.raises(ProtocolViolation, match="protocol"):
+            ExternalScorer(spawn_args(tmp_path, len(vocab), mode), vocab)
+
     def test_wrong_vector_length(self, tmp_path):
         vocab = self.vocab()
         with ExternalScorer(spawn_args(tmp_path, len(vocab), "short"), vocab) as remote:
-            with pytest.raises(ProtocolViolation, match="entries"):
+            with pytest.raises(ProtocolViolation, match="bytes"):
                 remote.logprobs([], None)
+            with pytest.raises(ProtocolViolation, match=f"{8 * 2 * len(vocab)} bytes"):
+                remote.bind(None).logprobs([[], []])
 
     def test_probability_sum_off_by_half(self, tmp_path):
         vocab = self.vocab()
         with ExternalScorer(spawn_args(tmp_path, len(vocab), "bad-sum"), vocab) as remote:
             with pytest.raises(ProtocolViolation, match="sum"):
+                remote.logprobs([], None)
+            with pytest.raises(ProtocolViolation, match="row 2: probabilities sum"):
+                remote.bind(None).logprobs([[], [], []])
+
+    def test_nan_row(self, tmp_path):
+        vocab = self.vocab()
+        with ExternalScorer(spawn_args(tmp_path, len(vocab), "nan"), vocab) as remote:
+            with pytest.raises(ProtocolViolation, match="row 1: probabilities sum to nan"):
+                remote.bind(None).logprobs([[], []])
+
+    def test_invalid_base64(self, tmp_path):
+        vocab = self.vocab()
+        with ExternalScorer(spawn_args(tmp_path, len(vocab), "bad-base64"), vocab) as remote:
+            with pytest.raises(ProtocolViolation, match="not base64"):
+                remote.logprobs([], None)
+
+    def test_logprobs_field_not_a_string(self, tmp_path):
+        vocab = self.vocab()
+        with ExternalScorer(spawn_args(tmp_path, len(vocab), "not-string"), vocab) as remote:
+            with pytest.raises(ProtocolViolation, match="base64 string, got list"):
+                remote.logprobs([], None)
+
+    def test_error_frame(self, tmp_path):
+        vocab = self.vocab()
+        with ExternalScorer(spawn_args(tmp_path, len(vocab), "error"), vocab) as remote:
+            with pytest.raises(ProtocolViolation, match="refused request 0: model not loaded"):
                 remote.logprobs([], None)
 
     def test_response_id_mismatch(self, tmp_path):
@@ -381,17 +563,56 @@ class TestServeLoop:
         remote.close()
         assert remote._proc.returncode == 0
 
-    def test_loop_answers_in_process_streams(self):
-        import io
+    def test_out_of_range_context_is_refused_and_serving_goes_on(self, tmp_path):
+        _, _, model = TestSignatureSubmodels().build()
+        model_path = tmp_path / "model.json"
+        model.save(model_path)
+        script = tmp_path / "serve.py"
+        script.write_text(SERVE_LOOP_SERVER)
+        vocab = model.vocabulary
+        with ExternalScorer([sys.executable, str(script), str(model_path)], vocab) as remote:
+            with pytest.raises(ProtocolViolation, match=f"unknown token id {len(vocab) + 4}"):
+                remote.logprobs([], [len(vocab) + 4])
+            assert np.array_equal(remote.logprobs([], None), model.logprobs([], None))
 
+    def test_loop_answers_in_process_streams(self):
         vocab = Vocabulary.from_tokens(["a", "b"])
         scorer = UniformScorer(vocab)
-        request = json.dumps({"id": 7, "prefix": [], "context": []})
+        request = json.dumps({"id": 7, "prefixes": [[]], "context": []})
         out = io.StringIO()
-        from treegen.scorers import serve_loop
-
         serve_loop(scorer, io.StringIO(request + "\n"), out)
         handshake, response = [json.loads(l) for l in out.getvalue().splitlines()]
-        assert handshake == {"vocab_size": len(vocab)}
+        assert handshake == {"vocab_size": len(vocab), "protocol": 2}
         assert response["id"] == 7
-        assert len(response["logprobs"]) == len(vocab)
+        row = np.frombuffer(base64.b64decode(response["logprobs"]), dtype="<f8")
+        assert len(row) == len(vocab)
+        assert np.array_equal(row, scorer.logprobs([], None))
+
+    def test_malformed_requests_get_error_frames(self):
+        vocab = Vocabulary.from_tokens(["a", "b"])
+        scorer = UniformScorer(vocab)
+        size = len(vocab)
+        lines = [
+            "{not json",
+            "[1, 2]",
+            json.dumps({"id": 1, "context": []}),
+            json.dumps({"id": 2, "prefixes": [[]]}),
+            json.dumps({"id": 3, "context": [], "prefixes": [[0], [size]]}),
+            json.dumps({"id": 4, "context": [], "prefixes": [["a"]]}),
+            json.dumps({"id": 5, "context": "abc", "prefixes": []}),
+            json.dumps({"id": 6, "context": [], "prefixes": [[0], [1, 2]]}),
+        ]
+        out = io.StringIO()
+        serve_loop(scorer, io.StringIO("\n".join(lines) + "\n"), out)
+        frames = [json.loads(l) for l in out.getvalue().splitlines()][1:]
+        assert [f.get("id") for f in frames] == [None, None, 1, 2, 3, 4, 5, 6]
+        errors = [f["error"] for f in frames[:-1]]
+        assert "not JSON" in errors[0]
+        assert "not a JSON object" in errors[1]
+        assert "'prefixes'" in errors[2]
+        assert "'context'" in errors[3]
+        assert errors[4] == f"unknown token id {size}"
+        assert "token ids" in errors[5] and "token ids" in errors[6]
+        assert "error" not in frames[-1]
+        matrix = np.frombuffer(base64.b64decode(frames[-1]["logprobs"]), dtype="<f8")
+        assert np.array_equal(matrix.reshape(2, size), np.full((2, size), -math.log(size)))

@@ -17,16 +17,19 @@ from treegen.trees import (
     flatten,
     flatten_str,
     linearize,
+    ordered_arguments,
     parse_linearized,
     parse_mr,
     signature,
     skeleton,
+    structure_key,
     to_string,
     tokenize,
     validate,
 )
 
 from oracles import random_mr
+from treegen.weather import synthesize_examples
 
 WEATHER = weather_ontology()
 RESTAURANT = restaurant_ontology()
@@ -178,6 +181,33 @@ class TestCanonicalize:
             tree = random_mr(rng, WEATHER, max_nodes=10)
             once = canonicalize(tree)
             assert canonicalize(once) == once
+
+
+    def test_ordered_arguments_equals_label_then_structure_sort(self):
+        # the same objects in the same order, so structurally identical
+        # twins must keep their input order too
+        cases = []
+        for example in synthesize_examples(300, seed=31):
+            tree = parse_mr(example.mr, WEATHER)
+            cases += [n.children for n in tree.root.iter_nodes() if n.kind is NodeKind.ACT]
+        rng = random.Random(12)
+        for _ in range(300):
+            tree = random_mr(rng, WEATHER, max_nodes=10)
+            cases += [n.children for n in tree.root.iter_nodes() if n.kind is NodeKind.ACT]
+        when = lambda *kids: arg("date_time", children=kids)  # noqa: E731
+        cases += [
+            (arg("temp", "30"), arg("temp", "20"), arg("condition", "rain"), arg("temp", "25")),
+            (arg("temp", "20"), arg("humidity", "low"), arg("temp", "20"), arg("temp", "20")),
+            (when(arg("weekday", "fri")), when(arg("day", "1")), when(arg("weekday", "fri"))),
+            (when(arg("weekday", "sat"), arg("day", "2")), when(arg("weekday", "sat"))),
+        ]
+        for children in cases:
+            for _ in range(3):
+                shuffled = list(children)
+                rng.shuffle(shuffled)
+                want = sorted(shuffled, key=lambda c: (c.label, structure_key(c)))
+                got = ordered_arguments(shuffled)
+                assert [id(c) for c in got] == [id(c) for c in want]
 
 
 class TestFlatten:
