@@ -21,11 +21,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constraints import (
+    ConstraintTracker,
     StateSet,
     build_constraints,
     check_tree,
+    completion_cost,
     initial_states,
-    min_completion_tokens,
     valid_structural_tokens,
 )
 from .scorers import Scorer, bind
@@ -109,14 +110,12 @@ def decode(
     context = vocab.encode(mr_tokens)
     max_length = config.max_length or 2 * len(mr_tokens) + 64
 
-    if config.mode is DecodeMode.RERANK:
-        result = decode(mr, scorer, replace(config, mode=DecodeMode.UNCONSTRAINED))
-        return DecodeResult(rerank_by_tree_accuracy(result.candidates, tree))
-
+    # rerank searches unconstrained; the tracker only checks its candidates
     constrained = config.mode is DecodeMode.CONSTRAINED
     tracker = build_constraints(tree)
     session = bind(scorer, context)
     structural = np.array(vocab.structural_ids)
+    token_ids = {vocab.token(i): i for i in vocab.structural_ids}
     eos_id = vocab.eos_id
     size = len(vocab)
 
@@ -150,13 +149,13 @@ def decode(
                 # too, so surviving hypotheses always close out in time.
                 budget = max_length - len(ids) - 1
                 successors = {
-                    vocab.id_of(token): nxt
+                    token_ids[token]: nxt
                     for token, nxt in valid_structural_tokens(
                         tracker, states, budget=budget
                     ).items()
                 }
                 allowed = list(successors)
-                if min(min_completion_tokens(tracker, s) for s in states) > budget:
+                if completion_cost(tracker, states) > budget:
                     masked = np.full(size, -np.inf)
                 else:
                     masked = vec.copy()
@@ -194,7 +193,7 @@ def decode(
         if remains:
             ids, score, _ = max(remains, key=lambda h: h[1])
             tokens = tuple(vocab.decode(ids))
-            partial = Candidate(tokens, score, check_tree(tree, tokens))
+            partial = Candidate(tokens, score, check_tree(tracker, tokens))
         raise DecodingFailed(
             f"no hypothesis finished within max_length={max_length}", partial
         )
@@ -209,17 +208,19 @@ def decode(
     candidates = []
     for ids, score in finished[: config.beam_size]:
         tokens = tuple(vocab.decode(ids))
-        candidates.append(Candidate(tokens, score, check_tree(tree, tokens)))
+        candidates.append(Candidate(tokens, score, check_tree(tracker, tokens)))
+    if config.mode is DecodeMode.RERANK:
+        candidates = rerank_by_tree_accuracy(candidates, tracker)
     return DecodeResult(candidates)
 
 
 def rerank_by_tree_accuracy(
-    candidates: list[Candidate], mr: MrTree | MrNode
+    candidates: list[Candidate], mr: MrTree | MrNode | ConstraintTracker
 ) -> list[Candidate]:
     """Stable partition: tree-valid candidates first, score order kept.
 
-    Validity is recomputed here, so the input may come from any decoder.
+    Validity is recomputed here, so the input may come from any decoder;
+    the MR may be given as its prebuilt tracker.
     """
-    tree = as_tree(mr)
-    checked = [replace(c, tree_valid=check_tree(tree, c.tokens)) for c in candidates]
+    checked = [replace(c, tree_valid=check_tree(mr, c.tokens)) for c in candidates]
     return [c for c in checked if c.tree_valid] + [c for c in checked if not c.tree_valid]

@@ -22,7 +22,8 @@ is what score masking needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 from .trees import (
@@ -56,6 +57,10 @@ class ConstraintTracker:
     label, values and children recursively; always including x itself),
     grouped across the whole tree, not only among siblings.  Subtrees
     occupy contiguous id ranges, recorded in subtree_size.
+
+    The tracker also memoizes, per state set, that set's structural moves
+    and completion costs (see valid_structural_tokens); the memo lives as
+    long as the tracker, which is one MR and usually one decode.
     """
 
     nodes: tuple[MrNode, ...]
@@ -65,6 +70,9 @@ class ConstraintTracker:
     ellipsis_options: tuple[frozenset[int], ...]
     join_nodes: frozenset[int]
     subtree_size: tuple[int, ...]
+    memo: dict[StateSet, _CompiledMoves] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def node_count(self) -> int:
@@ -88,6 +96,20 @@ class AlignmentState(NamedTuple):
 
 
 StateSet = frozenset[AlignmentState]
+
+
+class _CompiledMoves(NamedTuple):
+    """A state set's structural moves, computed once per tracker.
+
+    idle: fewest tokens, EOS included, that finish some state of the set
+    (infinite for the empty set, which never finishes).  moves: each
+    acceptable Open/Close/EOS token with the state set it leads to and
+    that set's own cheapest completion; EOS needs nothing after it, so its
+    cost is 0.
+    """
+
+    idle: int | float
+    moves: tuple[tuple[str, StateSet, int], ...]
 
 
 def _number_nodes(root: MrNode) -> tuple[list[MrNode], list[int], list[int]]:
@@ -257,6 +279,45 @@ def min_completion_tokens(tracker: ConstraintTracker, state: AlignmentState) -> 
     return total
 
 
+def _cheapest(tracker: ConstraintTracker, states: StateSet) -> int | float:
+    return min((min_completion_tokens(tracker, s) for s in states), default=math.inf)
+
+
+def _compiled_moves(tracker: ConstraintTracker, states: StateSet) -> _CompiledMoves:
+    """The state set's moves and costs, from the tracker's memo.
+
+    The entry is keyed by the state set alone and filled on first use by
+    stepping every candidate Open, Close and EOS with advance.  Successor
+    sets are the memo's own objects, so a beam that follows them hits the
+    memo by identity on the next step.
+    """
+    entry = tracker.memo.get(states)
+    if entry is not None:
+        return entry
+    labels = {
+        tracker.nodes[c].label
+        for s in states
+        for c in tracker.children_map[s.parent]
+        if c not in s.coverage and c not in s.elided
+    }
+    moves = []
+    for tok in [open_token(label) for label in labels] + [CLOSE]:
+        survivors = advance(tracker, states, tok)
+        if survivors:
+            moves.append((tok, survivors, _cheapest(tracker, survivors)))
+    finished = advance(tracker, states, EOS)
+    if finished:
+        moves.append((EOS, finished, 0))
+    entry = _CompiledMoves(_cheapest(tracker, states), tuple(moves))
+    tracker.memo[states] = entry
+    return entry
+
+
+def completion_cost(tracker: ConstraintTracker, states: StateSet) -> int | float:
+    """Fewest tokens, EOS included, that finish some state of the set."""
+    return _compiled_moves(tracker, states).idle
+
+
 def valid_structural_tokens(
     tracker: ConstraintTracker, states: StateSet, budget: int | None = None
 ) -> dict[str, StateSet]:
@@ -265,32 +326,17 @@ def valid_structural_tokens(
     Maps each acceptable token to the state set it leads to, so a caller
     that takes the move needs no second step.  Surface words are always
     acceptable, leave the states unchanged, and are not listed.
-    ``budget`` is the number of tokens that may still follow the
+    ``budget`` (>= 0) is the number of tokens that may still follow the
     candidate; when given, tokens whose cheapest completion no longer
-    fits are dropped (EOS needs nothing after it and is exempt).
+    fits are dropped (EOS needs nothing after it and always fits).  The
+    moves and their costs come from the tracker's memo, so the budget is
+    one comparison per move.
     """
-    out: dict[str, StateSet] = {}
-    labels = {
-        tracker.nodes[c].label
-        for s in states
-        for c in tracker.children_map[s.parent]
-        if c not in s.coverage and c not in s.elided
+    return {
+        tok: nxt
+        for tok, nxt, cost in _compiled_moves(tracker, states).moves
+        if budget is None or cost <= budget
     }
-    candidates = [open_token(label) for label in labels]
-    candidates.append(CLOSE)
-    for tok in candidates:
-        survivors = advance(tracker, states, tok)
-        if not survivors:
-            continue
-        if budget is not None and (
-            min(min_completion_tokens(tracker, s) for s in survivors) > budget
-        ):
-            continue
-        out[tok] = survivors
-    finished = advance(tracker, states, EOS)
-    if finished:
-        out[EOS] = finished
-    return out
 
 
 def _tokens_with_eos(output: str | Sequence[str]) -> list[str]:
@@ -300,20 +346,23 @@ def _tokens_with_eos(output: str | Sequence[str]) -> list[str]:
     return tokens
 
 
-def check_tree(mr: MrTree | MrNode, output: str | Sequence[str]) -> bool:
+def check_tree(
+    mr: MrTree | MrNode | ConstraintTracker, output: str | Sequence[str]
+) -> bool:
     """True iff the output's bracket skeleton realizes the MR exactly.
 
     Grouping and ellipsis are honoured; an EOS token is appended if the
-    output does not already end with one.
+    output does not already end with one.  The MR may be given as its
+    prebuilt tracker, which saves building one per check.
     """
     return first_rejection(mr, output) is None
 
 
 def first_rejection(
-    mr: MrTree | MrNode, output: str | Sequence[str]
+    mr: MrTree | MrNode | ConstraintTracker, output: str | Sequence[str]
 ) -> int | None:
     """Index of the first rejected token, or None if fully accepted."""
-    tracker = build_constraints(mr)
+    tracker = mr if isinstance(mr, ConstraintTracker) else build_constraints(mr)
     states = initial_states(tracker)
     for pos, token in enumerate(_tokens_with_eos(output)):
         states = advance(tracker, states, token)

@@ -19,7 +19,10 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
+import select
 import subprocess
+import time
 from collections.abc import Iterable, Sequence
 from typing import IO, Protocol, runtime_checkable
 
@@ -41,6 +44,10 @@ PROTOCOL_VERSION = 2
 # Seconds a scorer child gets to exit on its own once its input closes,
 # and then again after SIGTERM, before it is killed.
 EXTERNAL_EXIT_GRACE_S = 5.0
+
+# Seconds a scorer child gets to send its handshake, and then to answer
+# each request, before it counts as hung and is shut down.
+EXTERNAL_READ_TIMEOUT_S = 60.0
 
 Context = MrTree | MrNode | Sequence[int] | None
 
@@ -407,15 +414,17 @@ class ExternalScorer:
     def __init__(self, command: Sequence[str], vocabulary: Vocabulary):
         self.vocabulary = vocabulary
         self._next_id = 0
+        self._pending = b""  # bytes read past the last complete frame
         try:
             self._proc = subprocess.Popen(
-                list(command),
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
+                list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE
             )
         except OSError as exc:
             raise ScorerUnavailable(f"cannot start scorer process: {exc}") from exc
+        # stdout is read straight from its descriptor, never through the
+        # buffered file object, so poll() sees every byte not yet taken
+        self._poll = select.poll()
+        self._poll.register(self._proc.stdout.fileno(), select.POLLIN)
         try:
             handshake = self._read_frame()
             protocol = handshake.get("protocol")
@@ -433,11 +442,31 @@ class ExternalScorer:
             self.close()
             raise
 
-    def _read_frame(self) -> dict:
+    def _read_line(self) -> str:
+        """The next line from the child, waiting at most EXTERNAL_READ_TIMEOUT_S."""
         assert self._proc.stdout is not None
-        line = self._proc.stdout.readline()
-        if not line:
-            raise ScorerUnavailable("scorer process closed its output")
+        fd = self._proc.stdout.fileno()
+        deadline = time.monotonic() + EXTERNAL_READ_TIMEOUT_S
+        data, start = self._pending, 0
+        while (end := data.find(b"\n", start)) < 0:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self._poll.poll(remaining * 1000):
+                # a hung child gets no grace period: stop it, then reap it
+                self._proc.terminate()
+                self.close()
+                raise ScorerUnavailable(
+                    f"scorer process sent no complete frame within "
+                    f"{EXTERNAL_READ_TIMEOUT_S} s"
+                )
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:
+                raise ScorerUnavailable("scorer process closed its output")
+            data, start = data + chunk, len(data)
+        self._pending = data[end + 1 :]
+        return data[: end + 1].decode("utf-8", errors="replace")
+
+    def _read_frame(self) -> dict:
+        line = self._read_line()
         try:
             frame = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -462,9 +491,9 @@ class ExternalScorer:
         request = {"id": request_id, "context": context, "prefixes": list(prefixes)}
         assert self._proc.stdin is not None
         try:
-            self._proc.stdin.write(json.dumps(request) + "\n")
+            self._proc.stdin.write(json.dumps(request).encode() + b"\n")
             self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: already closed
             raise ScorerUnavailable("scorer process pipe is closed") from exc
         frame = self._read_frame()
         if "error" in frame:

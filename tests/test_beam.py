@@ -12,6 +12,8 @@ import sys
 import numpy as np
 import pytest
 
+import treegen.beam
+import treegen.constraints
 from oracles import enumerate_valid_skeletons, random_mr
 from treegen.beam import (
     Candidate,
@@ -21,7 +23,7 @@ from treegen.beam import (
     decode,
     rerank_by_tree_accuracy,
 )
-from treegen.constraints import check_tree
+from treegen.constraints import build_constraints, check_tree
 from treegen.ontology import weather_ontology
 from treegen.scorers import ExternalScorer, UniformScorer, bind, train_ngram
 from treegen.trees import CLOSE, EOS, canonicalize, linearize, parse_mr
@@ -276,6 +278,40 @@ class TestScorerSessions:
             lifted = decode(mr, LogprobsOnly(model), config).candidates
             assert lifted == native
             assert [c.score for c in lifted] == [c.score for c in native]
+
+
+class TestBuildOnce:
+    """One tracker per decode: the search and every candidate check share it."""
+
+    def count_builds(self, monkeypatch):
+        calls = []
+
+        def counting(mr):
+            calls.append(mr)
+            return build_constraints(mr)
+
+        monkeypatch.setattr(treegen.beam, "build_constraints", counting)
+        monkeypatch.setattr(treegen.constraints, "build_constraints", counting)
+        return calls
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    def test_build_constraints_runs_once_per_decode(self, mode, monkeypatch):
+        mr_a, _, model = TestTrainedDecode().build()
+        calls = self.count_builds(monkeypatch)
+        result = decode(mr_a, model, DecodeConfig(beam_size=10, mode=mode))
+        assert len(calls) == 1
+        assert len(result.candidates) > 1
+        for candidate in result.candidates:
+            assert candidate.tree_valid == check_tree(mr_a, candidate.tokens)
+
+    def test_failed_decode_checks_its_partial_with_the_same_tracker(self, monkeypatch):
+        mr = mk("[INFORM [temp 20 ] ]")
+        scorer = OneWordScorer(vocab_for(mr, ["be"]), "be")
+        calls = self.count_builds(monkeypatch)
+        with pytest.raises(DecodingFailed) as info:
+            decode(mr, scorer, DecodeConfig(beam_size=3, max_length=12))
+        assert info.value.partial is not None
+        assert len(calls) == 1
 
 
 class TestFailureModes:

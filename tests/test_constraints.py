@@ -13,6 +13,7 @@ from treegen.constraints import (
     advance,
     build_constraints,
     check_tree,
+    completion_cost,
     filter_to_reference,
     first_rejection,
     initial_states,
@@ -387,6 +388,17 @@ class TestCheckTree:
         mr = parse_mr("[INFORM [condition sunny ] [temp 70 ] ]", WEATHER)
         assert not check_tree(mr, "[INFORM [condition sunny ] ]".split())
 
+    def test_prebuilt_tracker_gives_the_same_answers(self):
+        rng = random.Random(8)
+        for _ in range(100):
+            tree = random_mr(rng, WEATHER, max_nodes=10)
+            tracker = build_constraints(tree)
+            good = linearize(tree)
+            bad = good[:-1]  # the last Close is missing
+            for output in (good, bad):
+                assert first_rejection(tracker, output) == first_rejection(tree, output)
+                assert check_tree(tracker, output) == check_tree(tree, output)
+
 
 class TestOracleEquivalence:
     def test_accepted_language_matches_enumerator(self):
@@ -491,6 +503,73 @@ class TestMaskScores:
                 and len(seq) - len(extended) <= budget
                 for seq in accepted
             ), (tree, prefix, token, budget)
+
+
+def join_of_twins(rng, copies):
+    """A JOIN of `copies` identical INFORM acts, so state sets hold several states."""
+    labels = sorted(rng.sample("ABCD", rng.randint(1, 2 if copies <= 4 else 1)))
+    args = tuple(MrNode(NodeKind.ARGUMENT, label, (), "v") for label in labels)
+    return MrTree(MrNode(NodeKind.RELATION, "JOIN", (MrNode(NodeKind.ACT, "INFORM", args),) * copies))
+
+
+def uncached_moves(tracker, states):
+    """Every structural move with its cheapest completion, from advance alone."""
+    labels = sorted({open_token(n.label) for n in tracker.nodes})
+    moves = []
+    for token in labels + [CLOSE, EOS]:
+        successors = advance(tracker, states, token)
+        if successors:
+            cost = min(min_completion_tokens(tracker, s) for s in successors)
+            moves.append((token, successors, cost))
+    return moves
+
+
+class TestCompiledMoves:
+    """The tracker's memo of moves and costs against the plain advance path."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([None, 2, 3, 4, 5, 6]))
+    def test_memo_equals_uncached_reference(self, seed, copies):
+        rng = random.Random(seed)
+        if copies is None:
+            tree = random_mr(rng, SCHEMA, max_nodes=7, value_pool=("v",))
+        else:
+            tree = join_of_twins(rng, copies)
+        accepted = enumerate_valid_skeletons(tree)
+        prefixes = sorted({seq[:i] for seq in accepted for i in range(len(seq))}, key=len)
+        # one tracker for the whole walk, so later prefixes hit the memo
+        # with budgets other than the ones that filled it
+        tracker = build_constraints(tree)
+        walked = {(): initial_states(tracker)}
+        for prefix in prefixes:
+            if prefix:
+                walked[prefix] = advance(tracker, walked[prefix[:-1]], prefix[-1])
+            states = walked[prefix]
+            idle = min(min_completion_tokens(tracker, s) for s in states)
+            reference = uncached_moves(tracker, states)
+            costs = {cost for _, _, cost in reference} | {idle}
+            budgets = sorted({max(c + d, 0) for c in costs for d in (-1, 0, 1)})
+            for budget in budgets + budgets[::-1] + [None]:
+                want = {
+                    token: successors
+                    for token, successors, cost in reference
+                    if budget is None or token == EOS or cost <= budget
+                }
+                got = valid_structural_tokens(tracker, states, budget)
+                assert got == want, (tree, prefix, budget)
+            assert completion_cost(tracker, states) == idle, (tree, prefix)
+        if copies is not None:
+            assert max(len(states) for states in walked.values()) > 1
+
+    def test_memo_lives_on_the_tracker(self):
+        tracker = build_constraints(TWO_ACT_MR)
+        states = feed(tracker, ["[JOIN"])
+        first = valid_structural_tokens(tracker, states)
+        assert states in tracker.memo
+        # the same successor objects come back, budget or not
+        again = valid_structural_tokens(tracker, states, budget=50)
+        assert all(again[token] is first[token] for token in again)
+        assert not build_constraints(TWO_ACT_MR).memo
 
 
 class TestFilterToReference:

@@ -12,11 +12,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from oracles import ref_ngram_prob
+from treegen import scorers
 from treegen.ontology import weather_ontology
 from treegen.scorers import (
     EmptyCorpus,
@@ -388,11 +390,13 @@ class TestSequenceLogprob:
 
 
 UNIFORM_SERVER = """\
-import base64, json, math, os, struct, sys
+import base64, json, math, os, struct, sys, time
 n = int(sys.argv[1])
 mode = sys.argv[2] if len(sys.argv) > 2 else "ok"
 with open(sys.argv[0] + ".pid", "w") as fh:
     fh.write(str(os.getpid()))
+if mode == "mute":
+    time.sleep(600)
 handshake = {"vocab_size": n, "protocol": 2}
 if mode == "no-protocol":
     del handshake["protocol"]
@@ -402,6 +406,8 @@ print(json.dumps(handshake), flush=True)
 if mode == "die":
     sys.exit(0)
 for line in sys.stdin:
+    if mode == "hang":
+        time.sleep(600)
     req = json.loads(line)
     rid = req["id"] + (1 if mode == "bad-id" else 0)
     if mode == "error":
@@ -523,6 +529,32 @@ class TestExternalScorer:
         with ExternalScorer(spawn_args(tmp_path, len(vocab), "die"), vocab) as remote:
             with pytest.raises(ScorerUnavailable):
                 remote.logprobs([], None)
+
+    def test_silent_handshake_times_out(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scorers, "EXTERNAL_READ_TIMEOUT_S", 0.5)
+        vocab = self.vocab()
+        started = time.monotonic()
+        with pytest.raises(ScorerUnavailable, match="no complete frame within 0.5 s"):
+            ExternalScorer(spawn_args(tmp_path, len(vocab), "mute"), vocab)
+        assert time.monotonic() - started < 5.0
+        pid = int((tmp_path / "server.py.pid").read_text())
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    def test_unanswered_request_times_out(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scorers, "EXTERNAL_READ_TIMEOUT_S", 0.5)
+        vocab = self.vocab()
+        remote = ExternalScorer(spawn_args(tmp_path, len(vocab), "hang"), vocab)
+        started = time.monotonic()
+        with pytest.raises(ScorerUnavailable, match="no complete frame within 0.5 s"):
+            remote.bind(None).logprobs([[], []])
+        assert time.monotonic() - started < 5.0
+        pid = int((tmp_path / "server.py.pid").read_text())
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+        # the scorer is closed: later requests fail the same typed way
+        with pytest.raises(ScorerUnavailable):
+            remote.logprobs([], None)
 
     def test_missing_executable_is_unavailable(self):
         with pytest.raises(ScorerUnavailable):
