@@ -14,7 +14,7 @@ from .beam import (
 from .constraints import build_constraints, check_tree, first_rejection
 from .corpus import CorpusExample, read_corpus, write_corpus
 from .delex import DelexTable, delexicalize, delexicalize_example, relexicalize
-from .metrics import EvalReport, bleu4, diversity, sentence_bleu, tree_accuracy
+from .metrics import EvalReport, bleu4, diversity, tree_accuracy
 from .ontology import NodeKind, Ontology, restaurant_ontology, weather_ontology
 from .scorers import (
     ExternalScorer,
@@ -57,7 +57,6 @@ __all__ = [
     "EvalReport",
     "bleu4",
     "diversity",
-    "sentence_bleu",
     "tree_accuracy",
     "NodeKind",
     "Ontology",

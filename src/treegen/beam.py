@@ -3,7 +3,9 @@
 Three modes: constrained masks structurally illegal tokens at every
 expansion so only valid realizations survive; unconstrained is plain
 beam search; rerank runs unconstrained and then stably moves tree-valid
-candidates to the front.  Ties between equal-score expansions break
+candidates to the front.  Every mode checks each finished candidate once
+against the MR and records the answer in its tree_valid flag, which
+rerank reads.  Ties between equal-score expansions break
 lexicographically on token ids, so decoding is deterministic.
 
 Constrained mode also enforces the token budget: moves whose cheapest
@@ -16,12 +18,12 @@ the scorer itself zeroes out every budget-respecting continuation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constraints import (
-    ConstraintTracker,
     StateSet,
     build_constraints,
     check_tree,
@@ -60,6 +62,8 @@ class DecodeConfig:
             raise ValueError("beam_size must be >= 1")
         if self.max_length is not None and self.max_length < 2:
             raise ValueError("max_length must be >= 2")
+        if not math.isfinite(self.length_penalty):
+            raise ValueError("length_penalty must be finite")
 
 
 @dataclass(frozen=True)
@@ -210,17 +214,16 @@ def decode(
         tokens = tuple(vocab.decode(ids))
         candidates.append(Candidate(tokens, score, check_tree(tracker, tokens)))
     if config.mode is DecodeMode.RERANK:
-        candidates = rerank_by_tree_accuracy(candidates, tracker)
+        candidates = rerank_by_tree_accuracy(candidates)
     return DecodeResult(candidates)
 
 
-def rerank_by_tree_accuracy(
-    candidates: list[Candidate], mr: MrTree | MrNode | ConstraintTracker
-) -> list[Candidate]:
+def rerank_by_tree_accuracy(candidates: list[Candidate]) -> list[Candidate]:
     """Stable partition: tree-valid candidates first, score order kept.
 
-    Validity is recomputed here, so the input may come from any decoder;
-    the MR may be given as its prebuilt tracker.
+    Reads each candidate's tree_valid flag, which decode sets with the
+    MR's tracker; nothing is checked again here.
     """
-    checked = [replace(c, tree_valid=check_tree(mr, c.tokens)) for c in candidates]
-    return [c for c in checked if c.tree_valid] + [c for c in checked if not c.tree_valid]
+    return [c for c in candidates if c.tree_valid] + [
+        c for c in candidates if not c.tree_valid
+    ]

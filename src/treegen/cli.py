@@ -286,6 +286,10 @@ def _cmd_decode(args: argparse.Namespace) -> tuple[int, Manifest]:
     _require(args, "corpus", "model", "out")
     if args.mode not in [m.value for m in DecodeMode]:
         raise CliError(f"unknown mode {args.mode!r}")
+    if args.limit is not None and args.limit < 0:
+        raise CliError(f"--limit must be >= 0, got {args.limit}")
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be >= 1, got {args.jobs}")
     examples = _load_corpus(args.corpus)
     if args.limit is not None:
         examples = examples[: args.limit]

@@ -23,28 +23,22 @@ is what score masking needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .trees import (
     CLOSE,
     EOS,
-    AnnotatedNode,
     MrNode,
     MrTree,
     as_tree,
     is_open,
-    linearize,
     open_label,
     open_token,
     tokenize,
 )
 
 ROOT = -1  # sentinel parent id; the MR root (id 0) is its only child
-
-
-class NoValidAlignment(ValueError):
-    """A reference realization cannot be aligned to the MR at all."""
 
 
 @dataclass(frozen=True)
@@ -73,13 +67,6 @@ class ConstraintTracker:
     memo: dict[StateSet, _CompiledMoves] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    def subtree_ids(self, x: int) -> range:
-        return range(x, x + self.subtree_size[x])
 
 
 class AlignmentState(NamedTuple):
@@ -369,131 +356,3 @@ def first_rejection(
         if not states:
             return pos
     return None
-
-
-class _LenientState(NamedTuple):
-    """Alignment candidate for reference filtering.
-
-    Coverage rules are relaxed (Closes always succeed, skipping is free)
-    so references that drop arguments still align; mismatches counts leaf
-    arguments whose annotated span differs from the MR value, used to pick
-    the faithful alignment when a label is ambiguous.
-    """
-
-    parent: int
-    coverage: frozenset[int]
-    mismatches: int
-    pending: tuple[str, ...]
-
-
-def _lenient_step(
-    tracker: ConstraintTracker, states: set[_LenientState], token: str
-) -> set[_LenientState]:
-    if token == EOS:
-        return {s for s in states if s.parent == ROOT and 0 in s.coverage}
-
-    if token == CLOSE:
-        survivors = set()
-        for state in states:
-            if state.parent == ROOT:
-                continue
-            mismatches = state.mismatches
-            node = tracker.nodes[state.parent]
-            if node.is_leaf_argument():
-                if " ".join(state.pending) != (node.value or ""):
-                    mismatches += 1
-            survivors.add(
-                _LenientState(
-                    tracker.parent_map[state.parent],
-                    state.coverage,
-                    mismatches,
-                    (),
-                )
-            )
-        return survivors
-
-    if is_open(token):
-        label = open_label(token)
-        survivors = set()
-        for state in states:
-            for cand in tracker.children_by_label.get((state.parent, label), ()):
-                if cand in state.coverage:
-                    continue
-                if state.parent in tracker.join_nodes:
-                    siblings = tracker.children_map[state.parent]
-                    pos = siblings.index(cand)
-                    if any(c in state.coverage for c in siblings[pos + 1 :]):
-                        continue
-                survivors.add(
-                    _LenientState(
-                        cand, state.coverage | {cand}, state.mismatches, ()
-                    )
-                )
-        return survivors
-
-    # surface word: remember it while inside a leaf argument's span
-    out = set()
-    for state in states:
-        if state.parent != ROOT and tracker.nodes[state.parent].is_leaf_argument():
-            out.add(state._replace(pending=state.pending + (token,)))
-        else:
-            out.add(state)
-    return out
-
-
-def filter_to_reference(
-    mr: MrTree | MrNode, reference: AnnotatedNode | str | Sequence[str]
-) -> MrTree:
-    """Drop MR nodes the reference does not express, preserving ellipsis.
-
-    Nodes with no corresponding annotated span are removed, except that a
-    node is preserved when a structurally identical twin is expressed (it
-    was elided for redundancy, not dropped).  Alignment is computed with
-    the automaton's matching rules, relaxed so omissions are allowed; among
-    surviving alignments the one covering the most nodes with the fewest
-    leaf-value mismatches wins.  Raises NoValidAlignment when the reference
-    cannot be aligned at all (wrong labels, wrong JOIN order, repetition).
-    """
-    tree = as_tree(mr)
-    tracker = build_constraints(tree)
-    tokens = (
-        linearize(reference)
-        if isinstance(reference, AnnotatedNode)
-        else list(tokenize(reference) if isinstance(reference, str) else reference)
-    )
-    states: set[_LenientState] = {_LenientState(ROOT, frozenset(), 0, ())}
-    for pos, token in enumerate(_tokens_with_eos(tokens)):
-        states = _lenient_step(tracker, states, token)
-        if not states:
-            raise NoValidAlignment(
-                f"reference does not realize this MR: token {token!r} "
-                f"at position {pos} cannot be aligned"
-            )
-
-    final = min(
-        states,
-        key=lambda s: (-len(s.coverage), s.mismatches, tuple(sorted(s.coverage))),
-    )
-    covered = set(final.coverage)
-    keep = set(covered)
-
-    changed = True
-    while changed:
-        changed = False
-        for x in range(tracker.node_count):
-            if x in keep:
-                continue
-            group = tracker.ellipsis_options[x]
-            if len(group) > 1 and (group & keep) - {x}:
-                # elided for redundancy: a twin is expressed or preserved
-                keep.update(tracker.subtree_ids(x))
-                changed = True
-
-    def rebuild(x: int) -> MrNode:
-        node = tracker.nodes[x]
-        kids = tuple(
-            rebuild(c) for c in tracker.children_map[x] if c in keep
-        )
-        return replace(node, children=kids)
-
-    return MrTree(rebuild(0))

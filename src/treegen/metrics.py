@@ -2,18 +2,15 @@
 
 BLEU is computed from integer n-gram counts with multi-reference
 clipping and a brevity penalty, no smoothing, so corpus order cannot
-change the score.  The sentence-level variant used for best-hypothesis
-selection smooths higher-order n-grams to keep the ranking total.
-Entropies are in bits.
+change the score.  Entropies are in bits.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Any
 
 from .constraints import check_tree
 from .scorers import EmptyCorpus
@@ -83,64 +80,6 @@ def bleu4(
     log_precision = sum(math.log(m / t) for m, t in zip(matched, total)) / 4
     brevity = min(0.0, 1.0 - ref_len / hyp_len)
     return math.exp(brevity + log_precision)
-
-
-def sentence_bleu(
-    hypothesis: Sequence[str],
-    references: Sequence[Sequence[str]],
-    max_n: int = 4,
-) -> float:
-    """Single-sentence BLEU with add-one smoothing for n >= 2.
-
-    Gives the selection step a total order even when higher-order
-    matches are absent; not used for reported corpus scores.
-    """
-    hyp = list(hypothesis)
-    if not hyp or not references:
-        return 0.0
-    log_sum = 0.0
-    for n in range(1, max_n + 1):
-        counts = _ngrams(hyp, n)
-        best = Counter()
-        for ref in references:
-            for gram, c in _ngrams(ref, n).items():
-                if c > best[gram]:
-                    best[gram] = c
-        m = sum(min(c, best[gram]) for gram, c in counts.items())
-        t = sum(counts.values())
-        if n >= 2:
-            m, t = m + 1, t + 1
-        if t == 0 or m == 0:
-            return 0.0
-        log_sum += math.log(m / t)
-    ref_len = _closest_ref_length(len(hyp), references)
-    brevity = min(0.0, 1.0 - ref_len / len(hyp))
-    return math.exp(brevity + log_sum / max_n)
-
-
-def select_best_per_flat_mr(
-    groups: Mapping[str, Sequence[tuple[Any, Sequence[str]]]],
-    references: Mapping[str, Sequence[Sequence[str]]],
-) -> dict[str, tuple[Any, list[str]]]:
-    """Keep, per flat MR, the hypothesis scoring best against its references.
-
-    Ties resolve to the earliest hypothesis in group order.
-    """
-    chosen: dict[str, tuple[Any, list[str]]] = {}
-    for key, members in groups.items():
-        if not members:
-            raise ValueError(f"empty hypothesis group: {key!r}")
-        refs = references[key]
-        best_score = -1.0
-        best: tuple[Any, list[str]] | None = None
-        for mr, hyp in members:
-            score = sentence_bleu(hyp, refs)
-            if score > best_score:
-                best_score = score
-                best = (mr, list(hyp))
-        assert best is not None
-        chosen[key] = best
-    return chosen
 
 
 @dataclass(frozen=True)

@@ -70,9 +70,6 @@ class MrNode:
     children: tuple["MrNode", ...] = ()
     value: str | None = None
 
-    def is_leaf_argument(self) -> bool:
-        return self.kind is NodeKind.ARGUMENT and not self.children
-
     def iter_nodes(self) -> Iterator["MrNode"]:
         yield self
         for child in self.children:
@@ -340,37 +337,3 @@ def signature(tree: MrTree | MrNode) -> str:
     delexicalization) do not affect it.
     """
     return " ".join(skeleton(canonicalize(tree)))
-
-
-def flatten(tree: MrTree | MrNode) -> list[tuple[str, str]]:
-    """Flatten to key-value pairs, discarding discourse structure.
-
-    Dialog acts are numbered 1..n in tree order; each argument becomes
-    (label + act number, value).  A nested argument's value is the
-    concatenation of its subfield values in subtree order.  Arguments are
-    listed alphabetically within an act.
-    """
-    pairs: list[tuple[str, str]] = []
-    act_index = 0
-
-    def arg_value(node: MrNode) -> str:
-        if node.children:
-            return " ".join(arg_value(c) for c in node.children)
-        return node.value or ""
-
-    def rec(node: MrNode) -> None:
-        nonlocal act_index
-        if node.kind is NodeKind.ACT:
-            act_index += 1
-            for arg in ordered_arguments(node.children):
-                pairs.append((f"{arg.label}{act_index}", arg_value(arg)))
-        else:
-            for child in node.children:
-                rec(child)
-
-    rec(_root_of(as_tree(tree)))
-    return pairs
-
-
-def flatten_str(tree: MrTree | MrNode) -> str:
-    return " ".join(f"{key}[{value}]" for key, value in flatten(tree))

@@ -99,6 +99,9 @@ class TestDecodeConfig:
             DecodeConfig(beam_size=0)
         with pytest.raises(ValueError):
             DecodeConfig(max_length=1)
+        for penalty in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                DecodeConfig(length_penalty=penalty)
 
 
 class TestConstrainedMode:
@@ -281,7 +284,7 @@ class TestScorerSessions:
 
 
 class TestBuildOnce:
-    """One tracker per decode: the search and every candidate check share it."""
+    """One tracker per decode, and one check_tree call per candidate."""
 
     def count_builds(self, monkeypatch):
         calls = []
@@ -298,9 +301,18 @@ class TestBuildOnce:
     def test_build_constraints_runs_once_per_decode(self, mode, monkeypatch):
         mr_a, _, model = TestTrainedDecode().build()
         calls = self.count_builds(monkeypatch)
+        checks = []
+
+        def counting_check(mr, tokens):
+            checks.append(tokens)
+            return check_tree(mr, tokens)
+
+        monkeypatch.setattr(treegen.beam, "check_tree", counting_check)
         result = decode(mr_a, model, DecodeConfig(beam_size=10, mode=mode))
         assert len(calls) == 1
         assert len(result.candidates) > 1
+        # each candidate is checked once, rerank included
+        assert len(checks) == len(result.candidates)
         for candidate in result.candidates:
             assert candidate.tree_valid == check_tree(mr_a, candidate.tokens)
 
@@ -365,12 +377,12 @@ class TestRerank:
         mr = mk("[INFORM [temp 20 ] ]")
         valid = sorted(enumerate_valid_skeletons(mr))
         cands = [Candidate(tuple(seq[:-1]), -float(i), True) for i, seq in enumerate(valid)]
-        assert rerank_by_tree_accuracy(cands, mr) == cands
+        assert rerank_by_tree_accuracy(cands) == cands
 
     def test_stable_partition_valid_first(self):
         mr = mk("[JOIN [INFORM [temp 20 ] ] [INFORM [humidity low ] ] ]")
         cands = self.candidates_for(mr)
-        ranked = rerank_by_tree_accuracy(cands, mr)
+        ranked = rerank_by_tree_accuracy(cands)
         flags = [c.tree_valid for c in ranked]
         assert flags == sorted(flags, reverse=True)
         # relative order within each class is the input order
@@ -388,7 +400,7 @@ class TestRerank:
         for _ in range(20):
             cands = self.candidates_for(mr)
             rng.shuffle(cands)
-            ranked = rerank_by_tree_accuracy(cands, mr)
+            ranked = rerank_by_tree_accuracy(cands)
             order = sorted(
                 range(len(cands)),
                 key=lambda i: (not check_tree(mr, cands[i].tokens), i),

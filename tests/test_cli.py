@@ -285,6 +285,30 @@ class TestDecodePipeline:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not (tmp_path / "preds.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--limit", -1, "--limit must be >= 0, got -1"),
+            ("--jobs", 0, "--jobs must be >= 1, got 0"),
+            ("--jobs", -3, "--jobs must be >= 1, got -3"),
+            ("--length-penalty", "nan", "length_penalty must be finite"),
+            ("--length-penalty", "inf", "length_penalty must be finite"),
+        ],
+    )
+    def test_out_of_range_option_is_a_usage_error(
+        self, workdir, tmp_path, capsys, flag, value, message
+    ):
+        code = run(
+            "decode", "--corpus", workdir / "corpus" / "test.jsonl",
+            "--model", workdir / "model.json", "--out", tmp_path / "preds.jsonl",
+            "--limit", 3, flag, value,
+        )
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert message in lines[0]
+        assert not (tmp_path / "preds.jsonl").exists()
+
 
 def _crash_worker(item):
     """Stands in for the pool's per-MR function: the worker dies at once."""

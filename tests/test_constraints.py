@@ -1,20 +1,17 @@
-"""The acceptance automaton: construction, stepping, masking, filtering."""
+"""The acceptance automaton: construction, stepping, masking."""
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treegen.constraints import (
     ROOT,
     AlignmentState,
-    NoValidAlignment,
     advance,
     build_constraints,
     check_tree,
     completion_cost,
-    filter_to_reference,
     first_rejection,
     initial_states,
     min_completion_tokens,
@@ -28,9 +25,7 @@ from treegen.trees import (
     MrTree,
     linearize,
     open_token,
-    parse_linearized,
     parse_mr,
-    to_string,
 )
 
 from oracles import enumerate_valid_skeletons, random_mr, ref_groups, ref_number_dfs
@@ -98,7 +93,7 @@ class TestBuildConstraints:
 
     def test_single_node_mr(self):
         tracker = build_constraints(MrTree(MrNode(NodeKind.ACT, "YES")))
-        assert tracker.node_count == 1
+        assert len(tracker.nodes) == 1
         assert tracker.children_map[0] == ()
         assert tracker.children_map[ROOT] == (0,)
 
@@ -572,108 +567,6 @@ class TestCompiledMoves:
         assert not build_constraints(TWO_ACT_MR).memo
 
 
-class TestFilterToReference:
-    def test_identity_when_everything_expressed(self):
-        rng = random.Random(41)
-        for _ in range(100):
-            tree = random_mr(rng, WEATHER, max_nodes=9)
-            assert filter_to_reference(tree, linearize(tree)) == tree
-
-    def test_dropped_unique_argument_removed(self):
-        mr = parse_mr("[INFORM [condition sunny ] [temp 70 ] ]", WEATHER)
-        ref = parse_linearized("[INFORM it will be [condition sunny ] ]", WEATHER)
-        out = filter_to_reference(mr, ref)
-        assert out == parse_mr("[INFORM [condition sunny ] ]", WEATHER)
-
-    def test_elided_repeat_is_preserved(self):
-        mr, annotated = contrastive_weather_pair()
-        out = filter_to_reference(mr, annotated)
-        # the first act's date and second act's location were elided for
-        # redundancy, not dropped: the filtered MR keeps the whole tree
-        assert out == mr
-
-    def test_random_subtree_deletion(self):
-        rng = random.Random(59)
-        checked = 0
-        for _ in range(300):
-            tree = random_mr(rng, WEATHER, max_nodes=10)
-            tracker_groups = build_constraints(tree).ellipsis_options
-            nodes, parents = ref_number_dfs(tree.root)
-            # pick a deletable node: not the root, no structural twin
-            choices = [
-                i
-                for i in range(1, len(nodes))
-                if len(tracker_groups[i]) == 1 and nodes[i].kind is NodeKind.ARGUMENT
-                and len(nodes[parents[i]].children) > 1
-            ]
-            if not choices:
-                continue
-            target = rng.choice(choices)
-            kept = _drop_node(tree.root, target)
-            out = filter_to_reference(tree, linearize(MrTree(kept)))
-            assert out == MrTree(kept)
-            checked += 1
-        assert checked >= 100
-
-    def test_nested_twin_preserved(self):
-        mr = parse_mr(
-            "[JOIN [INFORM [date_time [month September ] [day 29 ] ] ] "
-            "[INFORM [date_time [month September ] [day 30 ] ] ] ]",
-            WEATHER,
-        )
-        ref = (
-            "[JOIN [INFORM [date_time [month September ] [day 29 ] ] ] "
-            "[INFORM [date_time [day 30 ] ] ] ]"
-        )
-        assert filter_to_reference(mr, ref.split()) == mr
-
-    def test_nested_twins_both_unexpressed_are_dropped(self):
-        mr = parse_mr(
-            "[JOIN [INFORM [date_time [month September ] [day 29 ] ] ] "
-            "[INFORM [date_time [month September ] [day 30 ] ] ] ]",
-            WEATHER,
-        )
-        ref = (
-            "[JOIN [INFORM [date_time [day 29 ] ] ] "
-            "[INFORM [date_time [day 30 ] ] ] ]"
-        )
-        expected = parse_mr(ref, WEATHER)
-        assert filter_to_reference(mr, ref.split()) == expected
-
-    def test_filtered_mr_accepts_its_reference(self):
-        rng = random.Random(67)
-        for _ in range(200):
-            tree = random_mr(rng, WEATHER, max_nodes=10)
-            nodes, parents = ref_number_dfs(tree.root)
-            removable = [
-                i for i in range(1, len(nodes))
-                if nodes[i].kind is NodeKind.ARGUMENT
-            ]
-            ref_root = tree.root
-            if removable:
-                ref_root = _drop_node(tree.root, rng.choice(removable))
-            ref_tokens = linearize(ref_root)
-            try:
-                filtered = filter_to_reference(tree, ref_tokens)
-            except NoValidAlignment:
-                continue
-            assert check_tree(filtered, ref_tokens), (tree, ref_tokens)
-
-    def test_hallucinated_label_raises(self):
-        mr = parse_mr("[INFORM [condition sunny ] ]", WEATHER)
-        with pytest.raises(NoValidAlignment):
-            filter_to_reference(mr, "[INFORM [temp 70 ] ]".split())
-
-    def test_join_out_of_order_raises(self):
-        mr = parse_mr(
-            "[JOIN [INFORM [condition fog ] ] [YES ] ]", WEATHER
-        )
-        with pytest.raises(NoValidAlignment):
-            filter_to_reference(
-                mr, "[JOIN [YES ] [INFORM [condition fog ] ] ]".split()
-            )
-
-
 class TestMinCompletionTokens:
     def test_initial_state_prices_the_bare_skeleton(self):
         # cheapest completion from scratch: one Open and one Close per
@@ -730,25 +623,3 @@ class TestMinCompletionTokens:
         assert "[INFORM" not in tight
         assert CLOSE in tight
 
-
-def _drop_node(root: MrNode, target: int) -> MrNode:
-    """Remove the node with the given DFS index from a copy of the tree."""
-    counter = [-1]
-
-    def rec(node: MrNode) -> MrNode | None:
-        counter[0] += 1
-        if counter[0] == target:
-            # still walk the subtree so numbering stays aligned
-            for _ in range(node.node_count() - 1):
-                counter[0] += 1
-            return None
-        kids = []
-        for child in node.children:
-            kept = rec(child)
-            if kept is not None:
-                kids.append(kept)
-        return MrNode(node.kind, node.label, tuple(kids), node.value)
-
-    out = rec(root)
-    assert out is not None
-    return out

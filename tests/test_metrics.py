@@ -17,8 +17,6 @@ from treegen.metrics import (
     EvalReport,
     bleu4,
     diversity,
-    select_best_per_flat_mr,
-    sentence_bleu,
     tree_accuracy,
 )
 from treegen.ontology import weather_ontology
@@ -112,37 +110,6 @@ class TestCorpusBleu:
             bleu4([H1], [])
         with pytest.raises(ValueError):
             bleu4([H1], [[]])
-
-
-class TestSelectBest:
-    def test_singleton_groups_identity(self):
-        groups = {"k": [(None, H1)]}
-        refs = {"k": [R1]}
-        assert select_best_per_flat_mr(groups, refs)["k"] == (None, H1)
-
-    def test_exact_reference_match_wins(self):
-        groups = {"k": [(1, H1), (2, R1), (3, H2)]}
-        refs = {"k": [R1]}
-        assert select_best_per_flat_mr(groups, refs)["k"] == (2, R1)
-
-    def test_matches_exhaustive_argmax_oracle(self):
-        rng = random.Random(92)
-        words = "rain sun wind calm cold warm".split()
-
-        def sentence():
-            return [rng.choice(words) for _ in range(rng.randint(3, 8))]
-
-        for _ in range(30):
-            members = [(i, sentence()) for i in range(rng.randint(1, 6))]
-            refs = [sentence() for _ in range(rng.randint(1, 3))]
-            chosen = select_best_per_flat_mr({"g": members}, {"g": refs})["g"]
-            scores = [sentence_bleu(hyp, refs) for _, hyp in members]
-            best = max(range(len(members)), key=lambda i: (scores[i], -i))
-            assert chosen == (members[best][0], members[best][1])
-
-    def test_empty_group_rejected(self):
-        with pytest.raises(ValueError):
-            select_best_per_flat_mr({"g": []}, {"g": [R1]})
 
 
 class TestDiversity:

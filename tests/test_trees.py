@@ -1,4 +1,4 @@
-"""Parsing, serialization, canonicalization, and flattening."""
+"""Parsing, serialization and canonicalization."""
 
 import random
 
@@ -14,8 +14,6 @@ from treegen.trees import (
     UnbalancedBrackets,
     annotated_to_mr,
     canonicalize,
-    flatten,
-    flatten_str,
     linearize,
     ordered_arguments,
     parse_linearized,
@@ -208,58 +206,6 @@ class TestCanonicalize:
                 want = sorted(shuffled, key=lambda c: (c.label, structure_key(c)))
                 got = ordered_arguments(shuffled)
                 assert [id(c) for c in got] == [id(c) for c in want]
-
-
-class TestFlatten:
-    def test_single_act_single_argument(self):
-        tree = MrTree(act("INFORM", arg("condition", "sunny")))
-        assert flatten(tree) == [("condition1", "sunny")]
-        assert flatten_str(tree) == "condition1[sunny]"
-
-    def test_act_numbering_in_tree_order(self):
-        tree = MrTree(
-            rel(
-                "JOIN",
-                act("INFORM", arg("condition", "sunny"),
-                    arg("date_time_range", children=[arg("colloquial", "this weekend")]),
-                    arg("temp_high_summary", "60s")),
-                act("INFORM", arg("temp_low", "43"),
-                    arg("date_time", children=[arg("weekday", "Sunday"),
-                                               arg("colloquial", "evening")])),
-                act("INFORM", arg("precip_chance_summary", "likely"),
-                    arg("wind_speed", "strong"),
-                    arg("date_time", children=[arg("weekday", "Saturday"),
-                                               arg("colloquial", "morning")])),
-            )
-        )
-        pairs = flatten(tree)
-        keys = [k for k, _ in pairs]
-        assert keys == [
-            "condition1", "date_time_range1", "temp_high_summary1",
-            "date_time2", "temp_low2",
-            "date_time3", "precip_chance_summary3", "wind_speed3",
-        ]
-        values = dict(pairs)
-        # nested arguments flatten to their subfield values in subtree order
-        assert values["date_time_range1"] == "this weekend"
-        assert values["date_time2"] == "Sunday evening"
-        assert values["date_time3"] == "Saturday morning"
-
-    def test_acts_without_arguments_still_count(self):
-        tree = MrTree(rel("JOIN", act("NO"), act("INFORM", arg("condition", "fog"))))
-        assert flatten(tree) == [("condition2", "fog")]
-
-    def test_key_count_matches_traversal(self):
-        rng = random.Random(23)
-        for _ in range(200):
-            tree = random_mr(rng, WEATHER, max_nodes=12)
-            n_args = sum(
-                1
-                for node in tree.root.iter_nodes()
-                if node.kind is NodeKind.ACT
-                for _ in node.children
-            )
-            assert len(flatten(tree)) == n_args
 
 
 class TestSignature:
