@@ -97,6 +97,22 @@ def _require_tokens(vocab, tree: MrTree) -> None:
         raise ValueError(f"scorer vocabulary is missing structural tokens: {missing}")
 
 
+def _top_k(flat: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest entries, in stable descending order.
+
+    Equal to the head of ``np.argsort(-flat, kind="stable")`` up to its
+    first -inf or NaN; NaN ranks with -inf here, and the beam stops at
+    either.  A partition finds the k-th value, and every entry at or
+    above it, ties included, is then sorted stably.
+    """
+    neg = -flat
+    neg[np.isnan(neg)] = np.inf
+    if k >= neg.size:
+        return np.argsort(neg, kind="stable")
+    pool = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+    return pool[np.argsort(neg[pool], kind="stable")[:k]]
+
+
 def decode(
     mr: MrTree | MrNode, scorer: Scorer, config: DecodeConfig | None = None
 ) -> DecodeResult:
@@ -123,81 +139,85 @@ def decode(
     eos_id = vocab.eos_id
     size = len(vocab)
 
-    # hypothesis: (token ids, total logprob, alignment states or None)
-    live = [((), 0.0, initial_states(tracker) if constrained else None)]
-    last_live = live
+    # the beam as parallel lists: prefix ids, float64 totals, and each
+    # hypothesis's alignment states (None when the search is unconstrained)
+    prefixes: list[tuple[int, ...]] = [()]
+    scores = np.zeros(1)
+    state_sets: list[StateSet | None] = [initial_states(tracker) if constrained else None]
+    last_prefixes, last_scores = prefixes, scores
     finished: list[tuple[tuple[int, ...], float]] = []
+    # per decode: (states, moves kept, idling overruns) -> (blocked row,
+    # structural id -> the state set it leads to).  A smaller budget only
+    # drops moves, so the count of moves kept names the kept set.
+    mask_rows: dict[tuple[StateSet, int, bool], tuple[np.ndarray, dict[int, StateSet]]] = {}
+    k = config.beam_size
 
     for _ in range(max_length):
-        if not live:
+        if not prefixes:
             break
-        last_live = live
-        if len(finished) >= config.beam_size and not config.length_penalty:
+        last_prefixes, last_scores = prefixes, scores
+        if len(finished) >= k and not config.length_penalty:
             # log-probs are <= 0, so a live score only falls; once the
             # best live hypothesis is below the provisional cut it can
             # never enter the final ranking.  With a length penalty the
             # adjusted score is not monotone, so run out max_length.
-            bound = sorted((s for _, s in finished), reverse=True)[config.beam_size - 1]
-            if max(score for _, score, _ in live) < bound:
+            bound = sorted((s for _, s in finished), reverse=True)[k - 1]
+            if scores.max() < bound:
                 break
-        rows = []
+        # a new matrix: the session's own rows are never written to
+        grid = np.asarray(session.logprobs(prefixes), dtype=np.float64) + scores[:, None]
         # per hypothesis: structural token id -> the state set it leads to
         moves: list[dict[int, StateSet]] = []
-        logprobs = session.logprobs([ids for ids, _, _ in live])
-        for (ids, score, states), vec in zip(live, logprobs):
-            successors: dict[int, StateSet] = {}
-            if constrained:
+        if constrained:
+            blocked = []
+            for ids, states in zip(prefixes, state_sets):
                 # budget: tokens that may still follow the one chosen now.
                 # Structural moves whose cheapest completion overruns it are
                 # masked, and once idling would overrun it, words are masked
                 # too, so surviving hypotheses always close out in time.
                 budget = max_length - len(ids) - 1
-                successors = {
-                    token_ids[token]: nxt
-                    for token, nxt in valid_structural_tokens(
-                        tracker, states, budget=budget
-                    ).items()
-                }
-                allowed = list(successors)
-                if completion_cost(tracker, states) > budget:
-                    masked = np.full(size, -np.inf)
-                else:
-                    masked = vec.copy()
-                    masked[structural] = -np.inf
-                masked[allowed] = vec[allowed]
-                vec = masked
-            rows.append(score + vec)
-            moves.append(successors)
-        flat = np.concatenate(rows)
-        # stable sort on the flattened (hypothesis, token) grid: ties go to
-        # the higher-ranked hypothesis, then the smaller token id
-        order = np.argsort(-flat, kind="stable")
-        next_live = []
-        taken = 0
-        for idx in order:
-            if taken >= config.beam_size:
+                kept = valid_structural_tokens(tracker, states, budget=budget)
+                starved = completion_cost(tracker, states) > budget
+                key = (states, len(kept), starved)
+                row = mask_rows.get(key)
+                if row is None:
+                    successors = {token_ids[token]: nxt for token, nxt in kept.items()}
+                    mask = np.full(size, starved)
+                    mask[structural] = True
+                    mask[list(successors)] = False
+                    row = mask_rows[key] = (mask, successors)
+                blocked.append(row[0])
+                moves.append(row[1])
+            grid[np.array(blocked)] = -np.inf
+        # ties go to the higher-ranked hypothesis, then the smaller token id
+        flat = grid.ravel()
+        order = _top_k(flat, k)
+        next_prefixes: list[tuple[int, ...]] = []
+        next_scores: list[float] = []
+        next_states: list[StateSet | None] = []
+        for idx, total in zip(order.tolist(), flat[order].tolist()):
+            if total == -math.inf or math.isnan(total):
                 break
-            total = float(flat[idx])
-            if total == float("-inf") or np.isnan(total):
-                break
-            hyp, token_id = divmod(int(idx), size)
-            ids, _, states = live[hyp]
+            hyp, token_id = divmod(idx, size)
+            ids = prefixes[hyp]
             if token_id == eos_id:
                 finished.append((ids, total))
             else:
+                next_prefixes.append(ids + (token_id,))
+                next_scores.append(total)
                 # words (and every token when unconstrained) keep the states
-                new_states = moves[hyp].get(token_id, states)
-                next_live.append((ids + (token_id,), total, new_states))
-            taken += 1
-        live = next_live
+                states = state_sets[hyp]
+                next_states.append(moves[hyp].get(token_id, states) if constrained else states)
+        prefixes, scores, state_sets = next_prefixes, np.array(next_scores), next_states
 
     if not finished:
         partial = None
-        remains = live or last_live
-        if remains:
-            ids, score, _ = max(remains, key=lambda h: h[1])
-            tokens = tuple(vocab.decode(ids))
-            partial = Candidate(tokens, score, check_tree(tracker, tokens))
+        if not prefixes:
+            prefixes, scores = last_prefixes, last_scores
+        if prefixes:
+            best = max(range(len(prefixes)), key=scores.__getitem__)
+            tokens = tuple(vocab.decode(prefixes[best]))
+            partial = Candidate(tokens, float(scores[best]), check_tree(tracker, tokens))
         raise DecodingFailed(
             f"no hypothesis finished within max_length={max_length}", partial
         )

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -79,6 +81,14 @@ def _read_jsonl(path) -> list[dict]:
             raise CliError(f"{path}:{line_number}: expected a JSON object")
         records.append(data)
     return records
+
+
+def _require_out_dir(path) -> None:
+    """Fail before any work when the output file's directory is missing."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        raise CliError(f"cannot write {path}: {os.strerror(code)}: {parent}")
 
 
 def _surface(tokens) -> list[str]:
@@ -213,6 +223,7 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[int, Manifest | None]:
 
 
 def _cmd_train_scorer(args: argparse.Namespace) -> tuple[int, Manifest]:
+    _require_out_dir(args.out)
     ontology = _ONTOLOGIES[args.ontology]()
     examples = _load_corpus(args.corpus)
     try:
@@ -275,6 +286,9 @@ def _cmd_decode(args: argparse.Namespace) -> tuple[int, Manifest]:
         raise CliError(f"--limit must be >= 0, got {args.limit}")
     if args.jobs < 1:
         raise CliError(f"--jobs must be >= 1, got {args.jobs}")
+    _require_out_dir(args.out)
+    # more workers than cores only adds processes
+    workers = min(args.jobs, os.cpu_count() or 1)
     examples = _load_corpus(args.corpus)
     if args.limit is not None:
         examples = examples[: args.limit]
@@ -291,10 +305,10 @@ def _cmd_decode(args: argparse.Namespace) -> tuple[int, Manifest]:
             ),
         }
         _decode_init(state)
-        if args.jobs > 1 and len(items) > 1:
-            chunk = max(1, len(items) // (args.jobs * 4))
+        if workers > 1 and len(items) > 1:
+            chunk = max(1, len(items) // (workers * 4))
             with ProcessPoolExecutor(
-                max_workers=args.jobs, initializer=_decode_init, initargs=(state,)
+                max_workers=workers, initializer=_decode_init, initargs=(state,)
             ) as pool:
                 records = list(pool.map(_decode_one, items, chunksize=chunk))
         else:
@@ -332,10 +346,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> tuple[int, Manifest]:
         if index in seen:
             raise CliError(f"{args.predictions}: duplicate example index {index}")
         seen.add(index)
-        if record.get("failure") is not None:
+        failure = record.get("failure")
+        if failure is not None:
+            if type(failure) is not str or not failure:
+                raise CliError(
+                    f"{args.predictions}: example {index} has failure "
+                    f"{json.dumps(failure)}, not null or a non-empty string"
+                )
             failed += 1
             per_example.append(
-                {"index": index, "tree_valid": False, "failure": record["failure"]}
+                {"index": index, "tree_valid": False, "failure": failure}
             )
             continue
         tokens = record.get("tokens")
@@ -523,7 +543,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         default=0.0,
         help="length normalization exponent (default: 0.0)",
     )
-    sub.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
+    sub.add_argument(
+        "--jobs", type=int, default=1, help="worker processes, at most one per core (default: 1)"
+    )
     sub.add_argument(
         "--limit", type=int, default=None, help="decode only the first N examples"
     )

@@ -328,7 +328,12 @@ class NGramModel:
 
 
 class _NGramSession:
-    """One MR's view of an n-gram model, with a log-vector per context."""
+    """One MR's view of an n-gram model, with a log-vector per context.
+
+    The session remembers the previous call's prefix -> context map.  A
+    prefix that extends one of those rows by one id checks only that id
+    and shifts the row's context; any other prefix is checked whole.
+    """
 
     def __init__(self, model: NGramModel, key: str, table: _CountTable):
         self._model = model
@@ -339,23 +344,35 @@ class _NGramSession:
         self._pad = (model.vocabulary.bos_id,) * self._n
         # dies with the session, so it holds at most one decode's contexts
         self._memo: dict[tuple[int, ...], np.ndarray] = {}
+        self._contexts: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def logprobs(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
-        n = self._n
-        out = np.empty((len(prefixes), self._size))
+        n, size, previous = self._n, self._size, self._contexts
+        contexts: dict[tuple[int, ...], tuple[int, ...]] = {}
+        out = np.empty((len(prefixes), size))
         for row, prefix in zip(out, prefixes):
-            _check_prefix(self._size, prefix)
-            if not n:
-                ctx = ()
-            elif len(prefix) >= n:
-                ctx = tuple(prefix[-n:])
+            prefix = tuple(prefix)
+            parent = previous.get(prefix[:-1]) if prefix else None
+            if parent is not None:
+                last = prefix[-1]
+                if not 0 <= last < size:
+                    raise UnknownToken(last)
+                ctx = (parent + (last,))[1:]
             else:
-                ctx = self._pad[len(prefix) :] + tuple(prefix)
+                _check_prefix(size, prefix)
+                if not n:
+                    ctx = ()
+                elif len(prefix) >= n:
+                    ctx = prefix[-n:]
+                else:
+                    ctx = self._pad[len(prefix) :] + prefix
+            contexts[prefix] = ctx
             vec = self._memo.get(ctx)
             if vec is None:
                 vec = np.log(self._model._prob_vector(self._key, self._table, ctx))
                 self._memo[ctx] = vec
             row[:] = vec
+        self._contexts = contexts
         return out
 
 

@@ -7,6 +7,11 @@ closed set of realized nodes, make sure every boundary omission leaves a
 structurally identical twin somewhere outside the omitted boundary set and
 never exhausts a whole equality group, keep JOIN children in order, permute
 everything else.
+
+The reference beam is the exception: it is the plain list-of-tuples search
+loop, with a full stable sort per step and a fresh mask row per
+hypothesis, stepping the same automaton.  It pins the decoder's search,
+not the automaton.
 """
 
 from __future__ import annotations
@@ -15,8 +20,28 @@ import itertools
 import random
 from collections import defaultdict
 
+import numpy as np
+
+from treegen.beam import Candidate, DecodeConfig, DecodeMode, DecodeResult, DecodingFailed
+from treegen.constraints import (
+    build_constraints,
+    check_tree,
+    completion_cost,
+    initial_states,
+    valid_structural_tokens,
+)
 from treegen.ontology import NodeKind, Ontology
-from treegen.trees import CLOSE, EOS, MrNode, MrTree, open_token
+from treegen.scorers import bind
+from treegen.trees import (
+    CLOSE,
+    EOS,
+    MrNode,
+    MrTree,
+    as_tree,
+    canonicalize,
+    linearize,
+    open_token,
+)
 
 
 def ref_structure_key(node: MrNode) -> tuple:
@@ -235,3 +260,96 @@ def random_mr(
 
     node, _ = make_node(budget, 0)
     return MrTree(node)
+
+
+def ref_beam_decode(mr: MrTree | MrNode, scorer, config: DecodeConfig) -> DecodeResult:
+    """beam.decode as a list of (ids, score, states) tuples.
+
+    Each step masks a copy of every hypothesis's row, concatenates the
+    rows and takes the head of one stable argsort of the whole grid.
+    """
+    vocab = scorer.vocabulary
+    tree = canonicalize(as_tree(mr))
+    mr_tokens = linearize(tree)
+    max_length = config.max_length or 2 * len(mr_tokens) + 64
+    constrained = config.mode is DecodeMode.CONSTRAINED
+    tracker = build_constraints(tree)
+    session = bind(scorer, vocab.encode(mr_tokens))
+    structural = np.array(vocab.structural_ids)
+    token_ids = {vocab.token(i): i for i in vocab.structural_ids}
+    size = len(vocab)
+
+    live = [((), 0.0, initial_states(tracker) if constrained else None)]
+    last_live = live
+    finished = []
+    for _ in range(max_length):
+        if not live:
+            break
+        last_live = live
+        if len(finished) >= config.beam_size and not config.length_penalty:
+            bound = sorted((s for _, s in finished), reverse=True)[config.beam_size - 1]
+            if max(score for _, score, _ in live) < bound:
+                break
+        rows = []
+        moves = []
+        logprobs = session.logprobs([ids for ids, _, _ in live])
+        for (ids, score, states), vec in zip(live, logprobs):
+            successors = {}
+            if constrained:
+                budget = max_length - len(ids) - 1
+                successors = {
+                    token_ids[token]: nxt
+                    for token, nxt in valid_structural_tokens(
+                        tracker, states, budget=budget
+                    ).items()
+                }
+                allowed = list(successors)
+                if completion_cost(tracker, states) > budget:
+                    masked = np.full(size, -np.inf)
+                else:
+                    masked = vec.copy()
+                    masked[structural] = -np.inf
+                masked[allowed] = vec[allowed]
+                vec = masked
+            rows.append(score + vec)
+            moves.append(successors)
+        flat = np.concatenate(rows)
+        order = np.argsort(-flat, kind="stable")
+        next_live = []
+        for idx in order[: config.beam_size]:
+            total = float(flat[idx])
+            if total == float("-inf") or np.isnan(total):
+                break
+            hyp, token_id = divmod(int(idx), size)
+            ids, _, states = live[hyp]
+            if token_id == vocab.eos_id:
+                finished.append((ids, total))
+            else:
+                next_live.append((ids + (token_id,), total, moves[hyp].get(token_id, states)))
+        live = next_live
+
+    if not finished:
+        partial = None
+        remains = live or last_live
+        if remains:
+            ids, score, _ = max(remains, key=lambda h: h[1])
+            tokens = tuple(vocab.decode(ids))
+            partial = Candidate(tokens, score, check_tree(tracker, tokens))
+        raise DecodingFailed(f"no hypothesis finished within max_length={max_length}", partial)
+
+    def rank_key(entry):
+        ids, score = entry
+        if config.length_penalty:
+            score = score / (len(ids) + 1) ** config.length_penalty
+        return (-score, ids)
+
+    finished.sort(key=rank_key)
+    candidates = []
+    for ids, score in finished[: config.beam_size]:
+        tokens = tuple(vocab.decode(ids))
+        candidates.append(Candidate(tokens, score, check_tree(tracker, tokens)))
+    if config.mode is DecodeMode.RERANK:
+        candidates = [c for c in candidates if c.tree_valid] + [
+            c for c in candidates if not c.tree_valid
+        ]
+    return DecodeResult(candidates)

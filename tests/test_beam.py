@@ -5,28 +5,33 @@ uniform scorer against the brute-force realization enumerator, so the
 decoder and the enumerator must agree on entire candidate sets.
 """
 
+import functools
 import math
 import random
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import treegen.beam
 import treegen.constraints
-from oracles import enumerate_valid_skeletons, random_mr
+from oracles import enumerate_valid_skeletons, random_mr, ref_beam_decode
 from treegen.beam import (
     Candidate,
     DecodeConfig,
     DecodeMode,
     DecodingFailed,
+    _top_k,
     decode,
     rerank_by_tree_accuracy,
 )
 from treegen.constraints import build_constraints, check_tree
 from treegen.ontology import weather_ontology
 from treegen.scorers import ExternalScorer, UniformScorer, bind, train_ngram
-from treegen.trees import CLOSE, EOS, canonicalize, linearize, parse_mr
+from treegen.ontology import NodeKind
+from treegen.trees import CLOSE, EOS, MrNode, MrTree, canonicalize, linearize, parse_mr
 from treegen.vocab import Vocabulary
 from treegen.weather import synthesize_examples
 
@@ -442,3 +447,147 @@ class TestExternalScorerDecode:
         assert [c.tokens for c in piped.candidates] == [c.tokens for c in local.candidates]
         for a, b in zip(piped.candidates, local.candidates):
             assert a.score == pytest.approx(b.score, abs=1e-9)
+
+
+class TiedScorer:
+    """Rows drawn from the prefix alone, quantized so that ties abound.
+
+    Some rows are all -inf, and some hold NaN and -inf entries; rows are
+    kept, so two decodes that ask for one prefix get one row.
+    """
+
+    def __init__(self, vocabulary, seed, levels, dead, nan):
+        self.vocabulary = vocabulary
+        self._seed = seed
+        self._levels = levels
+        self._dead = dead
+        self._nan = nan
+        self._rows = {}
+
+    def logprobs(self, prefix, context=None):
+        prefix = tuple(prefix)
+        row = self._rows.get(prefix)
+        if row is None:
+            rng = np.random.default_rng([self._seed, len(prefix), *prefix])
+            size = len(self.vocabulary)
+            if rng.random() < self._dead:
+                row = np.full(size, -np.inf)
+            else:
+                row = -0.5 * rng.integers(0, self._levels, size)
+                row[rng.random(size) < self._nan] = np.nan
+                row[rng.random(size) < self._nan] = -np.inf
+            self._rows[prefix] = row
+        return row.copy()
+
+
+def repeated_join(k):
+    act = MrNode(
+        NodeKind.ACT, "INFORM", (MrNode(NodeKind.ARGUMENT, "temp", (), "20"),)
+    )
+    return MrTree(MrNode(NodeKind.RELATION, "JOIN", (act,) * k))
+
+
+def outcome(mr, scorer, config, beam):
+    """A decode's candidates, or its failure reason and partial."""
+    try:
+        return "ok", beam(mr, scorer, config).candidates
+    except DecodingFailed as exc:
+        return "failed", exc.reason, exc.partial
+
+
+def assert_same_as_reference(mr, scorer, config):
+    ours = outcome(mr, scorer, config, decode)
+    ref = outcome(mr, scorer, config, ref_beam_decode)
+    assert ours == ref
+    # repr also tells scores apart that == calls equal, such as -0.0 and 0.0
+    assert repr(ours) == repr(ref)
+
+
+@functools.cache
+def trained_pairs():
+    """A small n-gram model and held-out MRs it covers, built once."""
+    examples = synthesize_examples(330, seed=3)
+    pairs = [(parse_mr(ex.mr, ONT), ex.annotated_response.split()) for ex in examples]
+    return train_ngram(pairs[:300]), [mr for mr, _ in pairs[300:]]
+
+
+configs = st.builds(
+    DecodeConfig,
+    beam_size=st.integers(1, 12),
+    max_length=st.one_of(st.none(), st.integers(2, 20)),
+    mode=st.sampled_from(MODES),
+)
+
+
+class TestArrayBeamMatchesReference:
+    """decode against the list-of-tuples reference beam in tests/oracles.py."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.one_of(st.just(0), st.integers(2, 4)),
+        config=configs,
+        levels=st.sampled_from([1, 2, 4]),
+        dead=st.sampled_from([0.0, 0.05, 0.3]),
+        nan=st.sampled_from([0.0, 0.02, 0.2]),
+    )
+    def test_tied_scorer(self, seed, shape, config, levels, dead, nan):
+        # shape 0: a random MR; otherwise a JOIN of that many identical acts
+        if shape:
+            mr = repeated_join(shape)
+        else:
+            mr = random_mr(random.Random(seed), ONT, max_nodes=6)
+        scorer = TiedScorer(vocab_for(mr, ["w1", "w2", "w3"]), seed, levels, dead, nan)
+        assert_same_as_reference(mr, scorer, config)
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(pick=st.integers(0, 29), config=configs)
+    def test_trained_scorer(self, pick, config):
+        model, mrs = trained_pairs()
+        assert_same_as_reference(mrs[pick], model, config)
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    def test_budget_wall_and_all_dead_rows(self, mode):
+        mr = mk("[INFORM [temp 20 ] ]")
+        vocab = vocab_for(mr, ["be"])
+        for max_length in (2, 3, 5, 12):
+            config = DecodeConfig(beam_size=3, max_length=max_length, mode=mode)
+            assert_same_as_reference(mr, OneWordScorer(vocab, "be"), config)
+            assert_same_as_reference(mr, TiedScorer(vocab, 1, 1, 1.0, 0.0), config)
+
+
+class TestTopK:
+    """The partial selection against the head of a full stable argsort."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.sampled_from([0.0, -0.5, -1.0, -2.5, -np.inf, np.nan, np.inf]),
+            min_size=1,
+            max_size=60,
+        ),
+        k=st.integers(1, 70),
+    )
+    def test_head_of_stable_argsort(self, values, k):
+        flat = np.array(values)
+        order = _top_k(flat.copy(), k)
+        full = np.argsort(-flat, kind="stable")[:k]
+        assert len(order) == len(full)
+
+        def live(indices):
+            # the beam reads up to the first -inf or NaN
+            head = []
+            for idx in indices.tolist():
+                if flat[idx] == -np.inf or np.isnan(flat[idx]):
+                    break
+                head.append(idx)
+            return head
+
+        assert live(order) == live(full)
+        if not np.isnan(flat).any():
+            assert order.tolist() == full.tolist()
+
+    def test_input_is_left_alone(self):
+        flat = np.array([0.0, np.nan, -1.0])
+        _top_k(flat, 1)
+        assert np.isnan(flat[1])

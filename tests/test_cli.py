@@ -371,6 +371,8 @@ class TestDecodePipeline:
 
     def test_crashed_worker_is_a_usage_error(self, workdir, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_decode_one", _crash_worker)
+        # two workers even on one core: the crash must happen in a child
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         code = run(
             "decode", "--corpus", workdir / "corpus" / "test.jsonl",
             "--model", workdir / "model.json", "--out", tmp_path / "preds.jsonl",
@@ -427,7 +429,110 @@ class TestOutputs:
         assert "No such file or directory" in one_error_line(capsys)
 
 
+class FakePool:
+    """An in-process stand-in for ProcessPoolExecutor; it starts no process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        FakePool.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+class TestDecodeJobs:
+    @pytest.mark.parametrize("cores, workers", [(2, [2]), (4, [4]), (None, []), (1, [])])
+    def test_workers_are_capped_at_the_core_count(
+        self, workdir, tmp_path, monkeypatch, cores, workers
+    ):
+        monkeypatch.setattr(FakePool, "sizes", [])
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        out = tmp_path / "preds.jsonl"
+        code = run(
+            "decode", "--corpus", workdir / "corpus" / "test.jsonl",
+            "--model", workdir / "model.json", "--out", out,
+            "--jobs", 100000, "--limit", 3,
+        )
+        assert code in (0, 1)
+        # one core, or an unknown count, decodes in this process
+        assert FakePool.sizes == workers
+        assert len(read_jsonl(out)) == 3
+
+
+class TestOutputsFailFast:
+    def test_decode_does_no_work(self, workdir, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_decode_one", calls.append)
+        out = tmp_path / "missing" / "preds.jsonl"
+        code = run(
+            "decode", "--corpus", workdir / "corpus" / "test.jsonl",
+            "--model", workdir / "model.json", "--out", out, "--limit", 2,
+        )
+        assert code == 2
+        assert "No such file or directory" in one_error_line(capsys)
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_train_scorer_does_no_work(self, workdir, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "train_ngram", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(cli, "read_corpus", lambda *a, **k: calls.append(a))
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        for out in (tmp_path / "missing" / "model.json", plain / "model.json"):
+            corpus = workdir / "corpus" / "train.jsonl"
+            code = run("train-scorer", "--corpus", corpus, "--out", out)
+            assert code == 2
+            assert str(out) in one_error_line(capsys)
+        assert calls == []
+        assert list(tmp_path.iterdir()) == [plain]
+
+
 class TestEvaluate:
+    @pytest.mark.parametrize("failure", [False, 0, "", [], 1.5])
+    def test_failure_field_must_be_null_or_a_reason(
+        self, workdir, tmp_path, capsys, failure
+    ):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(
+            json.dumps({"index": 0, "tokens": ["a"], "failure": None}) + "\n"
+            + json.dumps({"index": 3, "tokens": ["a"], "failure": failure}) + "\n"
+        )
+        out = tmp_path / "report.json"
+        code = run(
+            "evaluate", "--predictions", preds, "--corpus", workdir / "corpus" / "test.jsonl",
+            "--out", out,
+        )
+        assert code == 2
+        line = one_error_line(capsys)
+        assert str(preds) in line and "example 3" in line and json.dumps(failure) in line
+        assert not out.exists()
+
+    def test_failure_reason_counts_as_a_decode_failure(self, workdir, tmp_path, capsys):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(
+            json.dumps({"index": 0, "tokens": ["a"], "failure": None}) + "\n"
+            + json.dumps({"index": 1, "tokens": [], "failure": "no hypothesis"}) + "\n"
+        )
+        out = tmp_path / "report.json"
+        code = run(
+            "evaluate", "--predictions", preds, "--corpus", workdir / "corpus" / "test.jsonl",
+            "--out", out,
+        )
+        assert code == 0
+        assert "over 1 examples (1 decode failures)" in capsys.readouterr().out
+        report = json.loads(out.read_text())
+        assert [e["failure"] for e in report["per_example"]] == [None, "no hypothesis"]
+
     @pytest.mark.parametrize(
         "record, named",
         [

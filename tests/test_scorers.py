@@ -16,6 +16,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import ref_ngram_prob
 from treegen import scorers
@@ -349,6 +351,55 @@ class TestSessions:
             with pytest.raises(UnknownToken) as info:
                 session.logprobs([[0], bad])
             assert info.value.args[0] == next(i for i in bad if not 0 <= i < size)
+
+    def test_extending_prefix_with_a_bad_last_id_raises(self):
+        model = single_sequence_model(order=3)
+        size = len(model.vocabulary)
+        for bad in (size, size + 3, -1):
+            session = model.bind(None)
+            session.logprobs([[], [2]])
+            session.logprobs([[2, 3]])
+            with pytest.raises(UnknownToken) as info:
+                session.logprobs([[2, 3, 4], [2, 3, bad]])
+            assert info.value.args[0] == bad
+
+    def test_non_extending_prefix_is_checked_whole(self):
+        model = single_sequence_model(order=3)
+        size = len(model.vocabulary)
+        session = model.bind(None)
+        session.logprobs([[2], [3]])
+        # [2, size + 1, 3] does not extend a row of the last call
+        with pytest.raises(UnknownToken) as info:
+            session.logprobs([[2, 3], [2, size + 1, 3]])
+        assert info.value.args[0] == size + 1
+        with pytest.raises(UnknownToken) as info:
+            session.logprobs([[-1, 2, 3]])
+        assert info.value.args[0] == -1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        order=st.integers(1, 4),
+        steps=st.lists(
+            st.lists(st.tuples(st.integers(0, 7), st.integers(0, 9)), max_size=5),
+            max_size=8,
+        ),
+    )
+    def test_incremental_rows_equal_a_fresh_session(self, order, steps):
+        # each step extends rows of the step before (parent picked modulo
+        # their count) or, from an empty step, starts a new prefix
+        model = single_sequence_model(repeats=3, order=order)
+        size = len(model.vocabulary)
+        session = model.bind(None)
+        previous = [()]
+        for step in steps:
+            prefixes = [
+                previous[pick % len(previous)] + (token % size,) if previous else (token % size,)
+                for pick, token in step
+            ]
+            matrix = session.logprobs(prefixes)
+            fresh = model.bind(None).logprobs(prefixes)
+            assert matrix.tobytes() == fresh.tobytes()
+            previous = prefixes
 
     def test_adapter_asks_once_per_prefix(self):
         double = LogprobsOnly(UniformScorer(Vocabulary.from_tokens(["a", "b"])))
