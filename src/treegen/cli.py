@@ -27,7 +27,8 @@ from pathlib import Path
 from . import __version__
 from .beam import DecodeConfig, DecodeMode, DecodingFailed, decode
 from .constraints import first_rejection
-from .corpus import CorpusExample, MalformedLine, parse_example, read_corpus, write_corpus
+from .corpus import MalformedLine, numbered_lines, parse_example, read_corpus
+from .corpus import write_corpus, write_json, write_jsonl
 from .delex import DelexTable, UnknownPlaceholder, delexicalize_example, relexicalize
 from .metrics import EvalReport, bleu4, diversity, tree_accuracy
 from .ontology import Ontology, UnknownLabel, restaurant_ontology, weather_ontology
@@ -50,29 +51,23 @@ class _Parser(argparse.ArgumentParser):
 _ONTOLOGIES = {"weather": weather_ontology, "restaurant": restaurant_ontology}
 
 
-def _read_text(path) -> str:
+def _read(path, load):
+    """``load(path)``; an unreadable or non-UTF-8 file or a bad corpus line is a CliError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}")
-
-
-def _load_corpus(path) -> list[CorpusExample]:
-    try:
-        return read_corpus(path)
+        return load(path)
     except MalformedLine as exc:
         raise CliError(f"{path}:{exc.line_number}: {exc.reason}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}")
 
 
-def _read_jsonl(path) -> list[dict]:
+def _text(path) -> str:
+    return Path(path).read_text(encoding="utf-8")
+
+
+def _read_predictions(path) -> list[dict]:
     records = []
-    # lines end at "\n" only, as in read_corpus; splitlines() would also cut
-    # at the U+2028 or U+0085 a JSON string may hold
-    for line_number, line in enumerate(_read_text(path).split("\n"), start=1):
-        if not line.strip():
-            continue
+    for line_number, line in _read(path, numbered_lines):
         try:
             data = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -83,12 +78,16 @@ def _read_jsonl(path) -> list[dict]:
     return records
 
 
-def _require_out_dir(path) -> None:
-    """Fail before any work when the output file's directory is missing."""
-    parent = Path(path).parent
-    if not parent.is_dir():
-        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
-        raise CliError(f"cannot write {path}: {os.strerror(code)}: {parent}")
+def _out_file(value: str) -> str:
+    """Argparse type of every file output: not a directory, inside an existing one."""
+    path = Path(value)
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    else:
+        return value
+    raise argparse.ArgumentTypeError(f"cannot write {value}: {os.strerror(code)}")
 
 
 def _surface(tokens) -> list[str]:
@@ -117,11 +116,7 @@ def _manifest_beside(out, inputs) -> Manifest:
 def _write_manifest(
     manifest: Manifest, args: argparse.Namespace, started_at: str, t0: float
 ) -> None:
-    arguments = {
-        k: (str(v) if isinstance(v, Path) else v)
-        for k, v in vars(args).items()
-        if k not in ("func",)
-    }
+    arguments = {k: v for k, v in vars(args).items() if k != "func"}
     record = {
         "command": args.command,
         "arguments": arguments,
@@ -132,9 +127,7 @@ def _write_manifest(
         "started_at": started_at,
         "elapsed_seconds": round(time.monotonic() - t0, 3),
     }
-    manifest.path.write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(manifest.path, record)
 
 
 # -- synthesize -------------------------------------------------------------
@@ -146,7 +139,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> tuple[int, Manifest]:
     if args.synth_config is not None:
         inputs.append(args.synth_config)
         try:
-            config = SynthConfig.from_json(json.loads(_read_text(args.synth_config)))
+            config = SynthConfig.from_json(json.loads(_read(args.synth_config, _text)))
         except (json.JSONDecodeError, TypeError, ValueError) as exc:
             raise CliError(f"bad synth config {args.synth_config}: {exc}")
     try:
@@ -195,27 +188,21 @@ def _validate_line(line: str, ontology: Ontology) -> str | None:
 
 def _cmd_validate(args: argparse.Namespace) -> tuple[int, Manifest | None]:
     ontology = _ONTOLOGIES[args.ontology]()
-    checked = 0
+    lines = _read(args.corpus, numbered_lines)
     failures: list[dict] = []
-    # numbered as read_corpus numbers them (see _read_jsonl)
-    for line_number, line in enumerate(_read_text(args.corpus).split("\n"), start=1):
-        if not line.strip():
-            continue
-        checked += 1
+    for line_number, line in lines:
         reason = _validate_line(line, ontology)
         if reason is not None:
             failures.append({"line": line_number, "reason": reason})
     for failure in failures:
         print(f"{args.corpus}:{failure['line']}: {failure['reason']}")
     status = "FAIL" if failures else "OK"
-    print(f"{status}: {checked} examples checked, {len(failures)} invalid")
+    print(f"{status}: {len(lines)} examples checked, {len(failures)} invalid")
     code = 1 if failures else 0
     if args.report is None:
         return code, None
-    report = {"corpus": str(args.corpus), "checked": checked, "failures": failures}
-    Path(args.report).write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    report = {"corpus": str(args.corpus), "checked": len(lines), "failures": failures}
+    write_json(args.report, report)
     return code, _manifest_beside(args.report, [args.corpus])
 
 
@@ -223,9 +210,8 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[int, Manifest | None]:
 
 
 def _cmd_train_scorer(args: argparse.Namespace) -> tuple[int, Manifest]:
-    _require_out_dir(args.out)
     ontology = _ONTOLOGIES[args.ontology]()
-    examples = _load_corpus(args.corpus)
+    examples = _read(args.corpus, read_corpus)
     try:
         pairs = [
             (ex.mr_tree(ontology), ex.annotated_response.split()) for ex in examples
@@ -286,10 +272,9 @@ def _cmd_decode(args: argparse.Namespace) -> tuple[int, Manifest]:
         raise CliError(f"--limit must be >= 0, got {args.limit}")
     if args.jobs < 1:
         raise CliError(f"--jobs must be >= 1, got {args.jobs}")
-    _require_out_dir(args.out)
     # more workers than cores only adds processes
     workers = min(args.jobs, os.cpu_count() or 1)
-    examples = _load_corpus(args.corpus)
+    examples = _read(args.corpus, read_corpus)
     if args.limit is not None:
         examples = examples[: args.limit]
     items = [(i, ex.mr) for i, ex in enumerate(examples)]
@@ -315,9 +300,7 @@ def _cmd_decode(args: argparse.Namespace) -> tuple[int, Manifest]:
             records = [_decode_one(item) for item in items]
     except (OSError, ValueError, BrokenProcessPool) as exc:
         raise CliError(f"decoding failed: {exc}")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(args.out, records)
     failed = sum(1 for r in records if r["failure"] is not None)
     print(
         f"decoded {len(records)} examples in {args.mode} mode, "
@@ -331,8 +314,8 @@ def _cmd_decode(args: argparse.Namespace) -> tuple[int, Manifest]:
 
 def _cmd_evaluate(args: argparse.Namespace) -> tuple[int, Manifest]:
     ontology = _ONTOLOGIES[args.ontology]()
-    examples = _load_corpus(args.corpus)
-    records = _read_jsonl(args.predictions)
+    examples = _read(args.corpus, read_corpus)
+    records = _read_predictions(args.predictions)
     seen: set[int] = set()
     pairs = []
     hypotheses = []
@@ -383,9 +366,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> tuple[int, Manifest]:
         examples_evaluated=len(pairs),
         per_example=per_example,
     )
-    Path(args.out).write_text(
-        json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(args.out, report.to_json())
     print(f"tree accuracy {accuracy:.4f} over {len(pairs)} examples ({failed} decode failures)")
     print(f"surface BLEU-4 {surface_bleu:.4f}")
     print(
@@ -400,7 +381,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> tuple[int, Manifest]:
 
 def _cmd_delex(args: argparse.Namespace) -> tuple[int, Manifest]:
     ontology = _ONTOLOGIES[args.ontology]()
-    examples = _load_corpus(args.corpus)
+    examples = _read(args.corpus, read_corpus)
     rewritten = []
     for position, example in enumerate(examples):
         try:
@@ -428,7 +409,7 @@ def _cmd_delex(args: argparse.Namespace) -> tuple[int, Manifest]:
 
 
 def _cmd_relex(args: argparse.Namespace) -> tuple[int, Manifest]:
-    examples = _load_corpus(args.corpus)
+    examples = _read(args.corpus, read_corpus)
     restored = []
     for position, example in enumerate(examples):
         if example.delex_table is None:
@@ -498,14 +479,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     sub = subparsers.add_parser("validate", help="check a corpus file line by line")
     sub.add_argument("--corpus", required=True, help="corpus file (JSON lines)")
-    sub.add_argument("--report", default=None, help="write a JSON failure report here")
+    sub.add_argument("--report", type=_out_file, help="write a JSON failure report here")
     _add_common(sub)
     sub.set_defaults(func=_cmd_validate)
     registry["validate"] = sub
 
     sub = subparsers.add_parser("train-scorer", help="fit an n-gram scorer to a corpus")
     sub.add_argument("--corpus", required=True, help="training corpus (JSON lines)")
-    sub.add_argument("--out", required=True, help="model output path")
+    sub.add_argument("--out", type=_out_file, required=True, help="model output path")
     sub.add_argument("--order", type=int, default=4, help="n-gram order (default: 4)")
     sub.add_argument(
         "--discount", type=float, default=0.75, help="absolute discount (default: 0.75)"
@@ -523,7 +504,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = subparsers.add_parser("decode", help="beam-search responses for corpus MRs")
     sub.add_argument("--corpus", required=True, help="corpus whose MRs to decode")
     sub.add_argument("--model", required=True, help="trained scorer model path")
-    sub.add_argument("--out", required=True, help="predictions output path (JSON lines)")
+    sub.add_argument(
+        "--out", type=_out_file, required=True, help="predictions output path (JSON lines)"
+    )
     sub.add_argument(
         "--mode",
         default="constrained",
@@ -556,7 +539,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = subparsers.add_parser("evaluate", help="score predictions against a corpus")
     sub.add_argument("--predictions", required=True, help="decode output (JSON lines)")
     sub.add_argument("--corpus", required=True, help="reference corpus (JSON lines)")
-    sub.add_argument("--out", required=True, help="evaluation report output path (JSON)")
+    sub.add_argument(
+        "--out", type=_out_file, required=True, help="evaluation report output path (JSON)"
+    )
     _add_common(sub)
     sub.set_defaults(func=_cmd_evaluate)
     registry["evaluate"] = sub
@@ -565,7 +550,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         "delex", help="replace argument values with placeholders"
     )
     sub.add_argument("--corpus", required=True, help="corpus file (JSON lines)")
-    sub.add_argument("--out", required=True, help="delexicalized corpus output path")
+    sub.add_argument(
+        "--out", type=_out_file, required=True, help="delexicalized corpus output path"
+    )
     sub.add_argument(
         "--number-occurrences",
         action="store_true",
@@ -579,7 +566,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument(
         "--corpus", required=True, help="delexicalized corpus file (JSON lines)"
     )
-    sub.add_argument("--out", required=True, help="restored corpus output path")
+    sub.add_argument("--out", type=_out_file, required=True, help="restored corpus output path")
     _add_common(sub)
     sub.set_defaults(func=_cmd_relex)
     registry["relex"] = sub
@@ -601,7 +588,7 @@ def _with_config(argv: list, registry: dict[str, argparse.ArgumentParser]) -> li
     if path is None or command is None:
         return argv
     try:
-        data = json.loads(_read_text(path))
+        data = json.loads(_read(path, _text))
     except json.JSONDecodeError as exc:
         raise CliError(f"bad config {path}: {exc.msg}")
     if not isinstance(data, dict):

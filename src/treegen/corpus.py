@@ -104,25 +104,35 @@ def parse_example(line: str) -> CorpusExample:
     return CorpusExample.from_json(data)
 
 
+def numbered_lines(path) -> list[tuple[int, str]]:
+    """A JSON-lines file's non-blank lines, numbered from 1 (U+2028 ends no line)."""
+    with open(path, encoding="utf-8") as fh:
+        return [(number, line) for number, line in enumerate(fh, start=1) if line.strip()]
+
+
 def read_corpus(path) -> list[CorpusExample]:
     """Load a JSONL corpus; malformed lines fail with their line number."""
     examples: list[CorpusExample] = []
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                examples.append(parse_example(line))
-            except ValueError as exc:
-                raise MalformedLine(number, str(exc)) from exc
+    for number, line in numbered_lines(path):
+        try:
+            examples.append(parse_example(line))
+        except ValueError as exc:
+            raise MalformedLine(number, str(exc)) from exc
     return examples
 
 
-def write_corpus(path, examples: Iterable[CorpusExample]) -> None:
-    """Write JSONL with stable key order, one example per line."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+def write_json(path, doc) -> None:
+    """Write one JSON document: indented, keys sorted, ending in a newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def write_jsonl(path, records: Iterable[dict]) -> None:
+    """Write one JSON object per line, keys sorted."""
     with open(path, "w", encoding="utf-8") as fh:
-        for example in examples:
-            fh.write(json.dumps(example.to_json(), sort_keys=True))
-            fh.write("\n")
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def write_corpus(path, examples: Iterable[CorpusExample]) -> None:
+    """Write a JSONL corpus, one example per line; the directory must exist."""
+    write_jsonl(path, (example.to_json() for example in examples))

@@ -45,8 +45,8 @@ PROTOCOL_VERSION = 2
 # and then again after SIGTERM, before it is killed.
 EXTERNAL_EXIT_GRACE_S = 5.0
 
-# Seconds a scorer child gets to send its handshake, and then to answer
-# each request, before it counts as hung and is shut down.
+# Seconds a scorer child gets to send its handshake, to take each request
+# and then to answer it, before it counts as hung and is shut down.
 EXTERNAL_READ_TIMEOUT_S = 60.0
 
 Context = MrTree | MrNode | Sequence[int] | None
@@ -439,9 +439,14 @@ class ExternalScorer:
         except OSError as exc:
             raise ScorerUnavailable(f"cannot start scorer process: {exc}") from exc
         # stdout is read straight from its descriptor, never through the
-        # buffered file object, so poll() sees every byte not yet taken
+        # buffered file object, so poll() sees every byte not yet taken;
+        # stdin is written the same way, without blocking, so a child that
+        # stops reading cannot hold a write past the deadline
         self._poll = select.poll()
         self._poll.register(self._proc.stdout.fileno(), select.POLLIN)
+        self._write_poll = select.poll()
+        self._write_poll.register(self._proc.stdin.fileno(), select.POLLOUT)
+        os.set_blocking(self._proc.stdin.fileno(), False)
         try:
             handshake = self._read_frame()
             protocol = handshake.get("protocol")
@@ -459,6 +464,34 @@ class ExternalScorer:
             self.close()
             raise
 
+    def _hung(self, waiting_for: str) -> ScorerUnavailable:
+        """Stop a hung child, with no grace period, and reap it."""
+        self._proc.terminate()
+        self.close()
+        return ScorerUnavailable(
+            f"scorer process {waiting_for} within {EXTERNAL_READ_TIMEOUT_S} s"
+        )
+
+    def _write(self, data: bytes) -> None:
+        """Send data, waiting at most EXTERNAL_READ_TIMEOUT_S for pipe room."""
+        assert self._proc.stdin is not None
+        view, deadline = memoryview(data), None
+        while True:
+            try:
+                view = view[os.write(self._proc.stdin.fileno(), view) :]
+            except BlockingIOError:
+                pass
+            except (OSError, ValueError) as exc:  # ValueError: already closed
+                raise ScorerUnavailable("scorer process pipe is closed") from exc
+            if not view:
+                return
+            # a short write: the pipe is full, so wait for the child to read
+            if deadline is None:
+                deadline = time.monotonic() + EXTERNAL_READ_TIMEOUT_S
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self._write_poll.poll(remaining * 1000):
+                raise self._hung("took no complete request")
+
     def _read_line(self) -> str:
         """The next line from the child, waiting at most EXTERNAL_READ_TIMEOUT_S."""
         assert self._proc.stdout is not None
@@ -468,13 +501,7 @@ class ExternalScorer:
         while (end := data.find(b"\n", start)) < 0:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not self._poll.poll(remaining * 1000):
-                # a hung child gets no grace period: stop it, then reap it
-                self._proc.terminate()
-                self.close()
-                raise ScorerUnavailable(
-                    f"scorer process sent no complete frame within "
-                    f"{EXTERNAL_READ_TIMEOUT_S} s"
-                )
+                raise self._hung("sent no complete frame")
             chunk = os.read(fd, 1 << 16)
             if not chunk:
                 raise ScorerUnavailable("scorer process closed its output")
@@ -506,12 +533,7 @@ class ExternalScorer:
         request_id = self._next_id
         self._next_id += 1
         request = {"id": request_id, "context": context, "prefixes": list(prefixes)}
-        assert self._proc.stdin is not None
-        try:
-            self._proc.stdin.write(json.dumps(request).encode() + b"\n")
-            self._proc.stdin.flush()
-        except (OSError, ValueError) as exc:  # ValueError: already closed
-            raise ScorerUnavailable("scorer process pipe is closed") from exc
+        self._write(json.dumps(request).encode() + b"\n")
         frame = self._read_frame()
         if "error" in frame:
             raise ProtocolViolation(f"scorer refused request {request_id}: {frame['error']}")

@@ -70,10 +70,6 @@ class Vocabulary:
         """Ids of Open/Close/EOS tokens, the only ones masking can touch."""
         return self._structural
 
-    def id_of(self, token: str) -> int:
-        """Id for a token; unknown strings map to the unknown id."""
-        return self._ids.get(token, self.unk_id)
-
     def token(self, token_id: int) -> str:
         if 0 <= token_id < len(self._tokens):
             return self._tokens[token_id]

@@ -7,14 +7,13 @@ byte-identical.  The train/test split interleaves deterministically.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from ..corpus import CorpusExample, write_corpus
+from ..corpus import CorpusExample, write_corpus, write_json
 from ..ontology import NodeKind, Ontology, weather_ontology
 from ..trees import linearize, parse_mr, signature, to_string
 from .forecast import generate_forecast
@@ -107,16 +106,15 @@ def corpus_stats(train: Sequence[CorpusExample],
 def synthesize_corpus(n: int, seed: int, out_dir: str | Path,
                       train_fraction: float = 0.8,
                       config: SynthConfig | None = None) -> dict:
-    """Write train.jsonl / test.jsonl / stats.json; returns the stats."""
+    """Write train.jsonl / test.jsonl / stats.json, creating out_dir; returns the stats."""
     out = Path(out_dir)
     examples = synthesize_examples(n, seed, config)
     train, test = split_examples(examples, train_fraction)
+    out.mkdir(parents=True, exist_ok=True)
     write_corpus(out / "train.jsonl", train)
     write_corpus(out / "test.jsonl", test)
     stats = corpus_stats(train, test)
-    (out / "stats.json").write_text(
-        json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out / "stats.json", stats)
     return {
         "train_path": str(out / "train.jsonl"),
         "test_path": str(out / "test.jsonl"),

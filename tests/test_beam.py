@@ -61,7 +61,7 @@ class OneWordScorer:
     def __init__(self, vocabulary, word):
         self.vocabulary = vocabulary
         self._vector = np.full(len(vocabulary), -np.inf)
-        self._vector[vocabulary.id_of(word)] = 0.0
+        self._vector[vocabulary.encode([word])[0]] = 0.0
 
     def logprobs(self, prefix, context=None):
         return self._vector.copy()

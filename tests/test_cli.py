@@ -410,23 +410,116 @@ class TestDecodePipeline:
         assert not (tmp_path / "preds.jsonl").exists()
 
 
+# the commands that write one file
+FILE_OUTPUT_COMMANDS = ["decode", "delex", "evaluate", "relex", "train-scorer", "validate"]
+
+
+def file_output(command, corpus, model, preds) -> tuple[str, list]:
+    """The command's file output option, and the other options it needs."""
+    if command == "decode":
+        return "out", ["--corpus", corpus, "--model", model, "--limit", 1]
+    if command == "evaluate":
+        return "out", ["--predictions", preds, "--corpus", corpus]
+    return ("report" if command == "validate" else "out"), ["--corpus", corpus]
+
+
 class TestOutputs:
-    @pytest.mark.parametrize("command", ["train-scorer", "decode", "evaluate", "validate"])
-    def test_output_in_a_missing_directory_is_a_usage_error(
-        self, workdir, tmp_path, capsys, command
-    ):
-        test, model = workdir / "corpus" / "test.jsonl", workdir / "model.json"
+    def refused(self, workdir, tmp_path, capsys, monkeypatch, command, target, message):
+        """Both as a flag and through --config, the output is refused before any work."""
+        calls = []
+        for name in ("read_corpus", "numbered_lines"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a))
         preds = tmp_path / "preds.jsonl"
         preds.write_text(json.dumps({"index": 0, "tokens": [], "failure": "x"}) + "\n")
-        out = tmp_path / "missing" / "out.json"
-        argv = {
-            "train-scorer": ["--corpus", test, "--out", out],
-            "decode": ["--corpus", test, "--model", model, "--out", out, "--limit", 1],
-            "evaluate": ["--predictions", preds, "--corpus", test, "--out", out],
-            "validate": ["--corpus", test, "--report", out],
-        }[command]
-        assert run(command, *argv) == 2
-        assert "No such file or directory" in one_error_line(capsys)
+        option, argv = file_output(
+            command, workdir / "corpus" / "test.jsonl", workdir / "model.json", preds
+        )
+        out = tmp_path / target
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({option: str(out)}))
+        before = sorted(tmp_path.rglob("*"))
+        for given in ([f"--{option}", out], ["--config", cfg]):
+            assert run(command, *argv, *given) == 2
+            assert f"cannot write {out}: {message}" in one_error_line(capsys)
+            assert calls == []
+            assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", FILE_OUTPUT_COMMANDS)
+    def test_output_in_a_missing_directory_is_a_usage_error(
+        self, workdir, tmp_path, capsys, monkeypatch, command
+    ):
+        self.refused(
+            workdir, tmp_path, capsys, monkeypatch, command,
+            "missing/out.json", "No such file or directory",
+        )
+
+    @pytest.mark.parametrize("command", FILE_OUTPUT_COMMANDS)
+    def test_output_under_a_plain_file_is_a_usage_error(
+        self, workdir, tmp_path, capsys, monkeypatch, command
+    ):
+        (tmp_path / "plain").write_text("")
+        self.refused(
+            workdir, tmp_path, capsys, monkeypatch, command, "plain/out.json", "Not a directory"
+        )
+
+    @pytest.mark.parametrize("command", FILE_OUTPUT_COMMANDS)
+    def test_output_that_is_a_directory_is_a_usage_error(
+        self, workdir, tmp_path, capsys, monkeypatch, command
+    ):
+        (tmp_path / "folder").mkdir()
+        self.refused(workdir, tmp_path, capsys, monkeypatch, command, "folder", "Is a directory")
+
+    def test_synthesize_creates_its_output_directory(self, tmp_path):
+        out = tmp_path / "a" / "b" / "c"
+        assert run("synthesize", "--n", 5, "--seed", 1, "--out-dir", out) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "stats.json", "test.jsonl", "train.jsonl"
+        ]
+
+
+# bytes that are not UTF-8: a Latin-1 "é"
+NOT_UTF8 = "café".encode("latin-1")
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("command", FILE_OUTPUT_COMMANDS)
+    def test_non_utf8_corpus(self, workdir, tmp_path, capsys, command):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes((workdir / "corpus" / "test.jsonl").read_bytes() + NOT_UTF8)
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"index": 0, "tokens": [], "failure": "x"}) + "\n")
+        option, argv = file_output(command, corpus, workdir / "model.json", preds)
+        assert run(command, *argv, f"--{option}", tmp_path / "out") == 2
+        assert one_error_line(capsys).startswith(f"error: cannot read {corpus}: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_predictions(self, workdir, tmp_path, capsys):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_bytes(b'{"index": 0, "tokens": ["' + NOT_UTF8 + b'"], "failure": null}\n')
+        out = tmp_path / "report.json"
+        code = run(
+            "evaluate", "--predictions", preds, "--corpus", workdir / "corpus" / "test.jsonl",
+            "--out", out,
+        )
+        assert code == 2
+        assert one_error_line(capsys).startswith(f"error: cannot read {preds}: ")
+        assert not out.exists()
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(b'{"n": 5, "out-dir": "' + NOT_UTF8 + b'"}')
+        assert run("synthesize", "--config", cfg) == 2
+        assert one_error_line(capsys).startswith(f"error: cannot read {cfg}: ")
+        assert sorted(tmp_path.iterdir()) == [cfg]
+
+    def test_non_utf8_synth_config(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.json"
+        cfg.write_bytes(b'{"horizon_days": "' + NOT_UTF8 + b'"}')
+        out = tmp_path / "corpus"
+        code = run("synthesize", "--n", 5, "--out-dir", out, "--synth-config", cfg)
+        assert code == 2
+        assert one_error_line(capsys).startswith(f"error: cannot read {cfg}: ")
+        assert not out.exists()
 
 
 class FakePool:

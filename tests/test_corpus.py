@@ -46,6 +46,12 @@ def test_trees_parse_from_disk(tmp_path):
         assert example.annotated_tree(ONT).words()
 
 
+def test_write_into_a_missing_directory_raises(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        write_corpus(tmp_path / "missing" / "corpus.jsonl", synthesize_examples(1, seed=4))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_blank_lines_are_skipped(tmp_path):
     examples = synthesize_examples(2, seed=4)
     path = tmp_path / "corpus.jsonl"

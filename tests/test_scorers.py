@@ -83,7 +83,7 @@ class TestTrainNgram:
         model = single_sequence_model()
         vocab = model.vocabulary
         vec = model.logprobs(vocab.encode(["a"]))
-        assert int(np.argmax(vec)) == vocab.id_of("b")
+        assert int(np.argmax(vec)) == vocab.encode(["b"])[0]
         assert_normalized(vec)
 
     def test_repetition_concentrates_mass(self):
@@ -92,7 +92,7 @@ class TestTrainNgram:
         model = single_sequence_model(repeats=100)
         vocab = model.vocabulary
         vec = model.logprobs(vocab.encode(["a"]))
-        assert math.exp(vec[vocab.id_of("b")]) > 0.99
+        assert math.exp(vec[vocab.encode(["b"])[0]]) > 0.99
 
     def test_estimates_match_scalar_reference(self):
         corpus = [
@@ -110,14 +110,15 @@ class TestTrainNgram:
             ("a", "b"),
             ("c", "a"),  # unseen continuation
         ]:
-            got = math.exp(model.logprobs(vocab.encode([ctx_tok]))[vocab.id_of(target_tok)])
+            target = vocab.encode([target_tok])[0]
+            got = math.exp(model.logprobs(vocab.encode([ctx_tok]))[target])
             want = ref_ngram_prob(
                 streams,
                 order=2,
                 discount=0.75,
                 vocab_size=len(vocab),
                 context=tuple(vocab.encode([ctx_tok])),
-                target=vocab.id_of(target_tok),
+                target=target,
                 bos=vocab.bos_id,
             )
             assert got == pytest.approx(want, abs=1e-12)
@@ -127,7 +128,7 @@ class TestTrainNgram:
         model = train_ngram(corpus, order=2)
         vocab = model.vocabulary
         vec = model.logprobs(vocab.encode(["b"]))
-        assert vec[vocab.id_of("c")] > vec[vocab.id_of("d")]
+        assert vec[vocab.encode(["c"])[0]] > vec[vocab.encode(["d"])[0]]
 
     def test_normalization_across_contexts(self):
         corpus = [
@@ -457,6 +458,9 @@ elif mode == "old-protocol":
 print(json.dumps(handshake), flush=True)
 if mode == "die":
     sys.exit(0)
+if mode == "deaf":
+    time.sleep(5)
+    sys.exit(0)
 for line in sys.stdin:
     if mode == "hang":
         time.sleep(600)
@@ -496,12 +500,12 @@ class TestExternalScorer:
         vocab = self.vocab()
         with ExternalScorer(spawn_args(tmp_path, len(vocab)), vocab) as remote:
             local = UniformScorer(vocab)
-            got = remote.logprobs([vocab.id_of("w1")], [vocab.close_id])
-            assert np.allclose(got, local.logprobs([vocab.id_of("w1")], None))
+            got = remote.logprobs(vocab.encode(["w1"]), [vocab.close_id])
+            assert np.allclose(got, local.logprobs(vocab.encode(["w1"]), None))
 
     def test_one_request_scores_the_whole_batch(self, tmp_path):
         vocab = self.vocab()
-        w1, w2 = vocab.id_of("w1"), vocab.id_of("w2")
+        w1, w2 = vocab.encode(["w1", "w2"])
         with ExternalScorer(spawn_args(tmp_path, len(vocab)), vocab) as remote:
             matrix = remote.bind([vocab.close_id]).logprobs([[], [w1], [w1, w2]])
             assert remote._next_id == 1
@@ -605,6 +609,22 @@ class TestExternalScorer:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
         # the scorer is closed: later requests fail the same typed way
+        with pytest.raises(ScorerUnavailable):
+            remote.logprobs([], None)
+
+    def test_unread_request_times_out(self, tmp_path, monkeypatch):
+        # a request larger than the pipe buffer, to a child that never reads
+        monkeypatch.setattr(scorers, "EXTERNAL_READ_TIMEOUT_S", 0.5)
+        vocab = self.vocab()
+        remote = ExternalScorer(spawn_args(tmp_path, len(vocab), "deaf"), vocab)
+        prefixes = [vocab.encode(["w1"] * 200)] * 400
+        started = time.monotonic()
+        with pytest.raises(ScorerUnavailable, match="took no complete request within 0.5 s"):
+            remote.bind(None).logprobs(prefixes)
+        assert time.monotonic() - started < 3.0
+        pid = int((tmp_path / "server.py.pid").read_text())
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
         with pytest.raises(ScorerUnavailable):
             remote.logprobs([], None)
 

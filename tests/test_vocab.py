@@ -8,16 +8,16 @@ from treegen.vocab import BOS_TOKEN, UNK_TOKEN, UnknownToken, Vocabulary
 
 def test_reserved_ids_are_fixed():
     vocab = Vocabulary.from_tokens(["hello", "[INFORM"])
-    assert vocab.id_of(UNK_TOKEN) == 0 == vocab.unk_id
-    assert vocab.id_of(EOS) == 1 == vocab.eos_id
-    assert vocab.id_of(CLOSE) == 2 == vocab.close_id
-    assert vocab.id_of(BOS_TOKEN) == 3 == vocab.bos_id
+    assert vocab.encode([UNK_TOKEN])[0] == 0 == vocab.unk_id
+    assert vocab.encode([EOS])[0] == 1 == vocab.eos_id
+    assert vocab.encode([CLOSE])[0] == 2 == vocab.close_id
+    assert vocab.encode([BOS_TOKEN])[0] == 3 == vocab.bos_id
 
 
 def test_ids_dense_and_sorted():
     vocab = Vocabulary.from_tokens(["zebra", "apple", "mango"])
     assert vocab.tokens == (UNK_TOKEN, EOS, CLOSE, BOS_TOKEN, "apple", "mango", "zebra")
-    assert [vocab.id_of(t) for t in vocab.tokens] == list(range(len(vocab)))
+    assert vocab.encode(vocab.tokens) == list(range(len(vocab)))
 
 
 def test_same_token_set_same_vocabulary():
@@ -39,7 +39,7 @@ def test_encode_decode_round_trip():
 
 def test_encode_accepts_a_string():
     vocab = Vocabulary.from_tokens(["a", "b"])
-    assert vocab.encode("a b") == [vocab.id_of("a"), vocab.id_of("b")]
+    assert vocab.encode("a b") == vocab.encode(["a", "b"]) == [4, 5]
 
 
 def test_unknown_string_maps_to_unk():
