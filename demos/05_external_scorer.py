@@ -8,13 +8,18 @@ The decoder does not care where probabilities come from.  Anything that
 answers newline-delimited JSON on stdin/stdout can drive it, one request
 per beam step carrying every live prefix:
 
-    handshake (server -> client): {"vocab_size": N, "protocol": 2}
-    request   (client -> server): {"id": i, "context": [...], "prefixes": [[...], ...]}
-    response  (server -> client): {"id": i, "logprobs": "<base64>"}
+    handshake (server -> client): {"vocab_size": N, "protocol": 3}
+    request   (client -> server): {"id": i, "context": [...],
+                                   "parents": [p, ...], "tails": [[...], ...]}
+    response  (server -> client): {"id": i, "logprobs": "<base64>", "rows": [r, ...]}
 
-The response's logprobs field is base64 of little-endian float64 values,
-one row of N per prefix, row after row.  A request the server cannot
-answer gets {"id": i, "error": "..."} instead, and the server goes on.
+Prefix k of a request is prefix parents[k] of the previous request,
+followed by tails[k]; parent -1 is the empty prefix.  So after the first
+beam step each hypothesis costs one new id on the wire.  The response's
+logprobs field is base64 of little-endian float64 values: the distinct
+rows, N values each, in first-seen order; prefix k's row is row rows[k].
+A request the server cannot answer gets {"id": i, "error": "..."}
+instead; the server forgets the previous prefixes and goes on.
 
 This script trains a small model, saves it, serves it from a child
 process via serve_loop, and checks that decoding through the pipe gives
@@ -69,20 +74,36 @@ proc = subprocess.Popen(
 )
 print("handshake: ", proc.stdout.readline().strip())
 vocab = model.vocabulary
-request = {"id": 0, "context": [], "prefixes": [[], vocab.encode(["it"])]}
-print("request:   ", json.dumps(request))
-proc.stdin.write(json.dumps(request) + "\n")
-proc.stdin.flush()
-response = json.loads(proc.stdout.readline())
-rows = np.frombuffer(base64.b64decode(response["logprobs"]), dtype="<f8")
-rows = rows.reshape(len(request["prefixes"]), len(vocab))
-print(f"response:   id={response['id']}, "
-      f"logprobs=\"{response['logprobs'][:16]}...\" "
-      f"({rows.shape[0]} rows x {rows.shape[1]} float64, "
-      f"row 0 = [{rows[0, 0]:.4f}, ...])")
-proc.stdin.write('{"id": 1, "context": []}\n')
-proc.stdin.flush()
-print("bad request answered with:", proc.stdout.readline().strip())
+
+
+def send(request):
+    print("request:   ", json.dumps(request))
+    proc.stdin.write(json.dumps(request) + "\n")
+    proc.stdin.flush()
+    return json.loads(proc.stdout.readline())
+
+
+def show(response):
+    if "error" in response:
+        print("error:     ", json.dumps(response))
+        return
+    rows = np.frombuffer(base64.b64decode(response["logprobs"]), dtype="<f8")
+    rows = rows.reshape(-1, len(vocab))
+    print(f"response:   id={response['id']}, rows={response['rows']}, "
+          f"logprobs=\"{response['logprobs'][:16]}...\" "
+          f"({rows.shape[0]} distinct rows x {rows.shape[1]} float64, "
+          f"row 0 = [{rows[0, 0]:.4f}, ...])")
+
+
+# the empty prefix and [it], both sent whole
+show(send({"id": 0, "context": [], "parents": [-1, -1], "tails": [[], vocab.encode(["it"])]}))
+# [it, will] and [it, is] extend prefix 1 of request 0 by one id each
+show(send({"id": 1, "context": [], "parents": [1, 1], "tails": [vocab.encode(["will"]),
+                                                                vocab.encode(["is"])]}))
+# request 1 held two prefixes, so parent 5 is refused; so is a request
+# without parents and tails
+show(send({"id": 2, "context": [], "parents": [5], "tails": [[]]}))
+show(send({"id": 3, "context": []}))
 proc.stdin.close()
 proc.wait()
 print()

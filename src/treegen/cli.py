@@ -279,8 +279,12 @@ def _cmd_decode(args: argparse.Namespace) -> tuple[int, Manifest]:
         examples = examples[: args.limit]
     items = [(i, ex.mr) for i, ex in enumerate(examples)]
     try:
+        model = _read(args.model, NGramModel.load)
+    except ValueError as exc:
+        raise CliError(f"cannot load model {args.model}: {exc}")
+    try:
         state = {
-            "model": NGramModel.load(args.model),
+            "model": model,
             "ontology": _ONTOLOGIES[args.ontology](),
             "config": DecodeConfig(
                 beam_size=args.beam_size,

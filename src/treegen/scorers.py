@@ -33,13 +33,23 @@ from .vocab import UnknownToken, Vocabulary
 
 MODEL_FORMAT = "treegen-ngram"
 MODEL_VERSION = 1
+# Each saved model field and the JSON types it may take; bool never counts
+# as a number.
+_MODEL_FIELDS = {
+    "vocabulary": list,
+    "order": int,
+    "discount": (int, float),
+    "min_signature_examples": int,
+    "global": dict,
+    "signatures": dict,
+}
 
 # Probability mass must sum to 1 within these tolerances.
 BUILTIN_SUM_TOLERANCE = 1e-9
 EXTERNAL_SUM_TOLERANCE = 1e-6
 
 # The one wire-protocol version spoken, stated in the handshake.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 # Seconds a scorer child gets to exit on its own once its input closes,
 # and then again after SIGTERM, before it is killed.
@@ -171,14 +181,45 @@ class _CountTable:
         return {"levels": levels}
 
     @classmethod
-    def from_json(cls, data: dict, order: int) -> "_CountTable":
+    def from_json(cls, data, order: int, size: int, name: str) -> "_CountTable":
+        """The table ``to_json`` wrote; a ValueError names the first bad part."""
+        levels = data.get("levels") if isinstance(data, dict) else None
+        if not isinstance(levels, list) or len(levels) != order:
+            raise ValueError(f"{name}: 'levels' must be a list of {order} levels")
         table = cls(order)
-        for k, level in enumerate(data["levels"]):
-            for ctx_list, pairs in level:
+        for k, level in enumerate(levels):
+            if not isinstance(level, list):
+                raise ValueError(f"{name}: level {k} is not a list")
+            counts, totals = table.counts[k], table.totals[k]
+            for entry in level:
+                if not (
+                    isinstance(entry, list)
+                    and len(entry) == 2
+                    and _is_token_ids(entry[0])
+                    and len(entry[0]) == k
+                    and isinstance(entry[1], list)
+                ):
+                    raise ValueError(
+                        f"{name}: level {k} entry is not [{k} context ids, counts]"
+                    )
+                ctx_list, pairs = entry
+                bucket = {}
+                for pair in pairs:
+                    if not (
+                        isinstance(pair, list)
+                        and len(pair) == 2
+                        and type(pair[0]) is int
+                        and type(pair[1]) is int
+                        and 0 <= pair[0] < size
+                        and pair[1] > 0
+                    ):
+                        raise ValueError(
+                            f"{name}: level {k} count {pair!r} is not [token id, count > 0]"
+                        )
+                    bucket[pair[0]] = pair[1]
                 ctx = tuple(ctx_list)
-                bucket = {int(w): int(c) for w, c in pairs}
-                table.counts[k][ctx] = bucket
-                table.totals[k][ctx] = sum(bucket.values())
+                counts[ctx] = bucket
+                totals[ctx] = sum(bucket.values())
         return table
 
 
@@ -214,6 +255,8 @@ class NGramModel:
         self._global = _CountTable(order)
         self._signature_tables: dict[str, _CountTable] = {}
         self._cache: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
+        # the last id-context bind resolved, with its signature and table
+        self._last_bind: tuple[tuple[int, ...], tuple[str, _CountTable]] | None = None
 
     # -- training ---------------------------------------------------------
 
@@ -268,11 +311,23 @@ class NGramModel:
         return vec
 
     def bind(self, context: Context = None) -> "_NGramSession":
-        """A session with the MR's signature and sub-table resolved once."""
+        """A session with the MR's signature and sub-table resolved once.
+
+        The last id-context resolved is remembered, so a caller that binds
+        once per prefix with one MR's ids builds its signature once.
+        """
+        key = None
+        if context is not None and not isinstance(context, (MrTree, MrNode)):
+            key = tuple(context)
+            last = self._last_bind
+            if last is not None and last[0] == key:
+                return _NGramSession(self, *last[1])
         sig = _context_signature(self.vocabulary, context)
         table = self._signature_tables.get(sig)
         if table is None:
             sig, table = "", self._global
+        if key is not None:
+            self._last_bind = (key, (sig, table))
         return _NGramSession(self, sig, table)
 
     def logprobs(self, prefix: Sequence[int], context: Context = None) -> np.ndarray:
@@ -281,6 +336,7 @@ class NGramModel:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_cache"] = {}
+        state["_last_bind"] = None
         return state
 
     # -- persistence ------------------------------------------------------
@@ -304,26 +360,38 @@ class NGramModel:
 
     @classmethod
     def load(cls, path) -> "NGramModel":
+        """The model ``save`` wrote; ValueError for any other JSON payload."""
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path}: model file is not a JSON object")
         if payload.get("format") != MODEL_FORMAT:
             raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
         if payload.get("version") != MODEL_VERSION:
             raise ValueError(f"unsupported model version {payload.get('version')!r}")
-        try:
-            model = cls(
-                Vocabulary(payload["vocabulary"]),
-                order=payload["order"],
-                discount=payload["discount"],
-                min_signature_examples=payload["min_signature_examples"],
-            )
-            model._global = _CountTable.from_json(payload["global"], model.order)
-            model._signature_tables = {
-                sig: _CountTable.from_json(data, model.order)
-                for sig, data in payload["signatures"].items()
-            }
-        except KeyError as exc:
-            raise ValueError(f"{path}: model file has no field {exc.args[0]!r}") from exc
+        for field, kinds in _MODEL_FIELDS.items():
+            if field not in payload:
+                raise ValueError(f"{path}: model file has no field {field!r}")
+            value = payload[field]
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"{path}: field {field!r} has type {type(value).__name__}")
+        tokens, signatures = payload["vocabulary"], payload["signatures"]
+        if not all(isinstance(t, str) for t in tokens):
+            raise ValueError(f"{path}: field 'vocabulary' must hold only strings")
+        order, size = payload["order"], len(tokens)
+        # the tables first: each checks its level count before it allocates
+        global_table = _CountTable.from_json(payload["global"], order, size, "global")
+        tables = {
+            sig: _CountTable.from_json(data, order, size, f"signature {sig!r}")
+            for sig, data in signatures.items()
+        }
+        model = cls(
+            Vocabulary(tokens),
+            order=order,
+            discount=payload["discount"],
+            min_signature_examples=payload["min_signature_examples"],
+        )
+        model._global, model._signature_tables = global_table, tables
         return model
 
 
@@ -412,13 +480,21 @@ def train_ngram(
 # -- external scorer protocol ----------------------------------------------
 #
 # Newline-delimited JSON over the child's standard streams, one request
-# per beam step.
-#   handshake (server -> client): {"vocab_size": int, "protocol": 2}
-#   request   (client -> server): {"id": int, "context": [int], "prefixes": [[int], ...]}
-#   response  (server -> client): {"id": int, "logprobs": str}
-#       base64 of little-endian float64, len(prefixes) x vocab_size, row-major
+# per beam step.  Each side keeps the prefixes of the last request it
+# answered, so a request sends only what is new and a response sends each
+# distinct row once.
+#   handshake (server -> client): {"vocab_size": int, "protocol": 3}
+#   request   (client -> server):
+#       {"id": int, "context": [int], "parents": [int], "tails": [[int], ...]}
+#       prefix i is prefix parents[i] of the previous request on the
+#       connection followed by tails[i]; parent -1 is the empty prefix
+#   response  (server -> client): {"id": int, "logprobs": str, "rows": [int]}
+#       logprobs is base64 of little-endian float64, the distinct rows in
+#       first-seen order, vocab_size each, row-major; prefix i's row is
+#       distinct row rows[i]
 #   error     (server -> client): {"id": int | null, "error": str}
-#       the server could not answer that request; it keeps serving
+#       the server could not answer that request and forgets the previous
+#       prefixes, so the next request may reference none; it keeps serving
 
 
 def _encode_matrix(matrix: np.ndarray) -> str:
@@ -432,6 +508,8 @@ class ExternalScorer:
         self.vocabulary = vocabulary
         self._next_id = 0
         self._pending = b""  # bytes read past the last complete frame
+        # prefix -> index in the last request the server answered
+        self._sent: dict[tuple[int, ...], int] = {}
         try:
             self._proc = subprocess.Popen(
                 list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE
@@ -528,11 +606,22 @@ class ExternalScorer:
     def _score(self, context: list[int], prefixes: Sequence[Sequence[int]]) -> np.ndarray:
         """One request and its response: a (len(prefixes), vocab) matrix."""
         size = len(self.vocabulary)
+        sent = self._sent
+        keys, parents, tails = [], [], []
         for prefix in prefixes:
-            _check_prefix(size, prefix)
+            key = tuple(prefix)
+            parent = sent.get(key[:-1], -1) if key else -1
+            tail = key[-1:] if parent >= 0 else key
+            _check_prefix(size, tail)
+            keys.append(key)
+            parents.append(parent)
+            tails.append(tail)
         request_id = self._next_id
         self._next_id += 1
-        request = {"id": request_id, "context": context, "prefixes": list(prefixes)}
+        request = {"id": request_id, "context": context, "parents": parents, "tails": tails}
+        # until a response is validated, the server's view of the previous
+        # request is unknown, so the next request references none of it
+        self._sent = {}
         self._write(json.dumps(request).encode() + b"\n")
         frame = self._read_frame()
         if "error" in frame:
@@ -548,19 +637,28 @@ class ExternalScorer:
             raw = base64.b64decode(encoded, validate=True)
         except ValueError as exc:  # binascii.Error, or a non-ASCII string
             raise ProtocolViolation(f"logprobs is not base64: {exc}") from exc
-        rows = len(prefixes)
-        if len(raw) != 8 * rows * size:
+        if len(raw) % (8 * size):
             raise ProtocolViolation(
-                f"logprobs must hold {8 * rows * size} bytes "
-                f"({rows} rows x {size} float64), got {len(raw)}"
+                f"logprobs must hold whole rows of {8 * size} bytes "
+                f"({size} float64), got {len(raw)} bytes"
             )
-        matrix = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(rows, size)
-        mass = np.exp(matrix).sum(axis=1)
-        bad = ~np.isfinite(mass) | (np.abs(mass - 1.0) > EXTERNAL_SUM_TOLERANCE)
+        distinct = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(-1, size)
+        rows = frame.get("rows")
+        if not isinstance(rows, list) or len(rows) != len(keys):
+            raise ProtocolViolation(f"rows must be a list of {len(keys)} row indices")
+        if not all(type(r) is int and 0 <= r < len(distinct) for r in rows):
+            raise ProtocolViolation(
+                f"rows must index the {len(distinct)} rows sent, got {rows!r:.80}"
+            )
+        mass = np.exp(distinct).sum(axis=1)
+        bad = (~np.isfinite(mass) | (np.abs(mass - 1.0) > EXTERNAL_SUM_TOLERANCE))[rows]
         if bad.any():
             row = int(np.argmax(bad))
-            raise ProtocolViolation(f"row {row}: probabilities sum to {mass[row]}, not 1")
-        return matrix
+            raise ProtocolViolation(
+                f"row {row}: probabilities sum to {mass[rows[row]]}, not 1"
+            )
+        self._sent = {key: i for i, key in enumerate(keys)}
+        return distinct[rows]
 
     def close(self) -> None:
         proc = self._proc
@@ -603,28 +701,57 @@ def _is_token_ids(value) -> bool:
     return isinstance(value, list) and all(type(i) is int for i in value)
 
 
-def _answer(scorer: Scorer, line: str) -> dict:
-    """The response frame, or error frame, for one request line."""
+def _refuse(request_id, message: str) -> tuple[dict, list]:
+    return {"id": request_id, "error": message}, []
+
+
+def _answer(
+    scorer: Scorer, line: str, previous: list[tuple[int, ...]]
+) -> tuple[dict, list[tuple[int, ...]]]:
+    """The response frame for one request line, and the prefixes it held.
+
+    ``previous`` holds the prefixes of the last request answered.  A
+    request that gets an error frame holds no prefixes, so the next one
+    may reference none.
+    """
     try:
         request = json.loads(line)
     except json.JSONDecodeError as exc:
-        return {"id": None, "error": f"request is not JSON: {exc}"}
+        return _refuse(None, f"request is not JSON: {exc}")
     if not isinstance(request, dict):
-        return {"id": None, "error": "request is not a JSON object"}
+        return _refuse(None, "request is not a JSON object")
     request_id = request.get("id")
-    for field in ("context", "prefixes"):
+    for field in ("context", "parents", "tails"):
         if field not in request:
-            return {"id": request_id, "error": f"request has no {field!r}"}
-    context, prefixes = request["context"], request["prefixes"]
+            return _refuse(request_id, f"request has no {field!r}")
+    context, parents, tails = request["context"], request["parents"], request["tails"]
     if not _is_token_ids(context):
-        return {"id": request_id, "error": "context must be a list of token ids"}
-    if not isinstance(prefixes, list) or not all(_is_token_ids(p) for p in prefixes):
-        return {"id": request_id, "error": "prefixes must be lists of token ids"}
+        return _refuse(request_id, "context must be a list of token ids")
+    if not isinstance(tails, list) or not all(_is_token_ids(t) for t in tails):
+        return _refuse(request_id, "tails must be lists of token ids")
+    if not isinstance(parents, list) or not all(type(p) is int for p in parents):
+        return _refuse(request_id, "parents must be a list of ints")
+    if len(parents) != len(tails):
+        return _refuse(request_id, f"{len(parents)} parents but {len(tails)} tails")
+    for parent in parents:
+        if not -1 <= parent < len(previous):
+            return _refuse(
+                request_id,
+                f"parent {parent} is not -1 or one of the {len(previous)} previous prefixes",
+            )
+    prefixes = [
+        previous[p] + tuple(t) if p >= 0 else tuple(t) for p, t in zip(parents, tails)
+    ]
     try:
         matrix = bind(scorer, context).logprobs(prefixes)
     except UnknownToken as exc:
-        return {"id": request_id, "error": f"unknown token id {exc.args[0]!r}"}
-    return {"id": request_id, "logprobs": _encode_matrix(matrix)}
+        return _refuse(request_id, f"unknown token id {exc.args[0]!r}")
+    # each distinct row once, compared bit for bit
+    first: dict[bytes, int] = {}
+    rows = [first.setdefault(row.tobytes(), len(first)) for row in matrix]
+    distinct = matrix[np.unique(rows, return_index=True)[1]]
+    frame = {"id": request_id, "logprobs": _encode_matrix(distinct), "rows": rows}
+    return frame, prefixes
 
 
 def serve_loop(scorer: Scorer, in_stream: IO[str], out_stream: IO[str]) -> None:
@@ -637,10 +764,12 @@ def serve_loop(scorer: Scorer, in_stream: IO[str], out_stream: IO[str]) -> None:
     handshake = {"vocab_size": len(scorer.vocabulary), "protocol": PROTOCOL_VERSION}
     out_stream.write(json.dumps(handshake) + "\n")
     out_stream.flush()
+    previous: list[tuple[int, ...]] = []
     for line in in_stream:
         if not line.strip():
             continue
-        out_stream.write(json.dumps(_answer(scorer, line)) + "\n")
+        frame, previous = _answer(scorer, line, previous)
+        out_stream.write(json.dumps(frame) + "\n")
         out_stream.flush()
 
 

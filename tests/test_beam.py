@@ -6,6 +6,7 @@ decoder and the enumerator must agree on entire candidate sets.
 """
 
 import functools
+import json
 import math
 import random
 import sys
@@ -29,7 +30,14 @@ from treegen.beam import (
 )
 from treegen.constraints import build_constraints, check_tree
 from treegen.ontology import weather_ontology
-from treegen.scorers import ExternalScorer, UniformScorer, bind, train_ngram
+from treegen.scorers import (
+    ExternalScorer,
+    ProtocolViolation,
+    UniformScorer,
+    bind,
+    sequence_logprob,
+    train_ngram,
+)
 from treegen.ontology import NodeKind
 from treegen.trees import CLOSE, EOS, MrNode, MrTree, canonicalize, linearize, parse_mr
 from treegen.vocab import Vocabulary
@@ -422,6 +430,29 @@ class TestRerank:
         assert flags == sorted(flags, reverse=True)
 
 
+RECORDING_SERVER = """\
+import sys
+from treegen.scorers import NGramModel, serve_loop
+
+
+class Recording:
+    \"\"\"The request lines, written to a log as they are read.\"\"\"
+
+    def __init__(self, stream, log):
+        self._stream, self._log = stream, log
+
+    def __iter__(self):
+        for line in self._stream:
+            self._log.write(line)
+            self._log.flush()
+            yield line
+
+
+with open(sys.argv[2], "w") as log:
+    serve_loop(NGramModel.load(sys.argv[1]), Recording(sys.stdin, log), sys.stdout)
+"""
+
+
 class TestExternalScorerDecode:
     def test_uniform_wire_double_matches_in_process(self, tmp_path):
         mr = mk("[INFORM [temp 20 ] ]")
@@ -430,12 +461,13 @@ class TestExternalScorerDecode:
         script.write_text(
             "import base64, json, math, struct, sys\n"
             "n = int(sys.argv[1])\n"
-            'print(json.dumps({"vocab_size": n, "protocol": 2}), flush=True)\n'
+            'print(json.dumps({"vocab_size": n, "protocol": 3}), flush=True)\n'
             "for line in sys.stdin:\n"
             "    req = json.loads(line)\n"
-            '    rows = len(req["prefixes"])\n'
-            '    raw = struct.pack("<%dd" % (rows * n), *[math.log(1.0 / n)] * (rows * n))\n'
-            '    print(json.dumps({"id": req["id"],'
+            '    rows = len(req["tails"])\n'
+            "    # every row is the same, so one travels\n"
+            '    raw = struct.pack("<%dd" % n, *[math.log(1.0 / n)] * n) if rows else b""\n'
+            '    print(json.dumps({"id": req["id"], "rows": [0] * rows,'
             ' "logprobs": base64.b64encode(raw).decode()}), flush=True)\n'
         )
         # flat scores give the unconstrained beam an immediate EOS path,
@@ -447,6 +479,116 @@ class TestExternalScorerDecode:
         assert [c.tokens for c in piped.candidates] == [c.tokens for c in local.candidates]
         for a, b in zip(piped.candidates, local.candidates):
             assert a.score == pytest.approx(b.score, abs=1e-9)
+
+
+class TestProtocol3Decode:
+    """Decodes over a serve_loop child that logs every request it reads."""
+
+    def remote(self, tmp_path, model):
+        model_path = tmp_path / "model.json"
+        model.save(model_path)
+        script = tmp_path / "recording.py"
+        script.write_text(RECORDING_SERVER)
+        log = tmp_path / "requests.jsonl"
+        command = [sys.executable, str(script), str(model_path), str(log)]
+        return ExternalScorer(command, model.vocabulary), log
+
+    def requests(self, log):
+        return [json.loads(line) for line in log.read_text().splitlines()]
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    def test_wire_decode_equals_in_process(self, tmp_path, mode):
+        model, mrs = trained_pairs()
+        config = DecodeConfig(beam_size=6, mode=mode)
+        remote, log = self.remote(tmp_path, model)
+        with remote:
+            for mr in mrs[:6]:
+                assert repr(outcome(mr, remote, config, decode)) == repr(
+                    outcome(mr, model, config, decode)
+                )
+        # each decode's first step sends the empty prefix whole; every later
+        # step extends the step before it, one new id per hypothesis
+        requests = self.requests(log)
+        firsts = [r for r in requests if r["parents"] == [-1] and r["tails"] == [[]]]
+        assert len(firsts) == 6
+        for r in requests:
+            if r not in firsts:
+                assert all(p >= 0 for p in r["parents"])
+                assert all(len(t) == 1 for t in r["tails"])
+
+    def test_two_sessions_interleaved_on_one_scorer(self, tmp_path):
+        model, mrs = trained_pairs()
+        config = DecodeConfig(beam_size=6)
+        mr_a, mr_b = mrs[0], mrs[1]
+        steps = {}
+        for mr in (mr_a, mr_b):
+            counting = CountingSessions(model)
+            decode(mr, counting, config)
+            steps[mr] = counting.steps
+        remote, log = self.remote(tmp_path, model)
+        with remote:
+            sessions = {mr: remote.bind(mr) for mr in (mr_a, mr_b)}
+            local = {mr: bind(model, mr) for mr in (mr_a, mr_b)}
+            for k in range(max(len(steps[mr_a]), len(steps[mr_b]))):
+                for mr in (mr_a, mr_b):
+                    if k < len(steps[mr]):
+                        got = sessions[mr].logprobs(steps[mr][k])
+                        want = local[mr].logprobs(steps[mr][k])
+                        assert got.tobytes() == want.tobytes()
+        contexts = {tuple(r["context"]) for r in self.requests(log)}
+        assert len(contexts) == 2
+
+    def test_sequence_logprob_over_the_wire(self, tmp_path):
+        examples = synthesize_examples(330, seed=3)
+        pairs = [(parse_mr(ex.mr, ONT), ex.annotated_response.split()) for ex in examples]
+        model, _ = trained_pairs()
+        vocab = model.vocabulary
+        remote, log = self.remote(tmp_path, model)
+        with remote:
+            for mr, tokens in pairs[300:306]:
+                assert sequence_logprob(remote, tokens, mr) == sequence_logprob(
+                    model, tokens, mr
+                )
+        # one request per sequence, holding each of its prefixes; the first
+        # sends them whole, later ones reference the prefixes they share
+        # with the sequence before
+        previous = []
+        requests = self.requests(log)
+        for request, (_, tokens) in zip(requests, pairs[300:306], strict=True):
+            ids = vocab.encode(tokens) + [vocab.eos_id]
+            previous = [
+                (previous[p] if p >= 0 else ()) + tuple(t)
+                for p, t in zip(request["parents"], request["tails"])
+            ]
+            assert previous == [tuple(ids[:pos]) for pos in range(len(ids))]
+        assert set(requests[0]["parents"]) == {-1}
+        assert any(p >= 0 for r in requests[1:] for p in r["parents"])
+
+    def test_decode_right_after_a_refused_request(self, tmp_path):
+        model, mrs = trained_pairs()
+        vocab = model.vocabulary
+        config = DecodeConfig(beam_size=6)
+        w1, w2 = vocab.encode(["it", "will"])
+        remote, log = self.remote(tmp_path, model)
+        with remote:
+            session = remote.bind(mrs[0])
+            session.logprobs([[]])
+            session.logprobs([[w1]])
+            with pytest.raises(ProtocolViolation, match="unknown token id"):
+                remote.logprobs([w1], [len(vocab) + 4])
+            # the refusal cleared both ends: [w1] is not referenced now
+            got = session.logprobs([[w1, w2]])
+            assert got.tobytes() == bind(model, mrs[0]).logprobs([[w1, w2]]).tobytes()
+            for mr in mrs[:3]:
+                with pytest.raises(ProtocolViolation):
+                    remote.logprobs([], [len(vocab) + 4])
+                assert repr(outcome(mr, remote, config, decode)) == repr(
+                    outcome(mr, model, config, decode)
+                )
+        requests = self.requests(log)
+        assert requests[1]["parents"] == [0] and requests[1]["tails"] == [[w1]]
+        assert requests[2]["parents"] == [-1] and requests[2]["tails"] == [[w1]]
+        assert requests[3]["parents"] == [-1] and requests[3]["tails"] == [[w1, w2]]
 
 
 class TiedScorer:

@@ -368,6 +368,40 @@ class TestDecodePipeline:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ("array", "cannot load model {path}: {path}: model file is not a JSON object"),
+            ("bad-levels", "cannot load model {path}: global: 'levels' must be a list"),
+            ("directory", "cannot read {path}: "),
+            ("latin1", "cannot read {path}: "),
+        ],
+    )
+    def test_malformed_or_unreadable_model_is_one_error_line(
+        self, workdir, tmp_path, capsys, model, message
+    ):
+        path = tmp_path / f"{model}.json"
+        if model == "array":
+            path.write_text("[]")
+        elif model == "bad-levels":
+            payload = json.loads((workdir / "model.json").read_text())
+            payload["global"] = {"levels": 5}
+            path.write_text(json.dumps(payload))
+        elif model == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"format": "caf\xe9"}')
+        code = run(
+            "decode", "--corpus", workdir / "corpus" / "test.jsonl", "--model", path,
+            "--out", tmp_path / "preds.jsonl", "--limit", 4,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: " + message.format(path=path))
+        assert not (tmp_path / "preds.jsonl").exists()
+
 
     def test_crashed_worker_is_a_usage_error(self, workdir, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_decode_one", _crash_worker)

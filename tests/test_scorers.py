@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -260,6 +261,101 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="'vocabulary'"):
             NGramModel.load(path)
 
+    @pytest.mark.parametrize("payload", [[], "model", 3, None])
+    def test_payload_that_is_not_an_object_rejected(self, tmp_path, payload):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="not a JSON object"):
+            NGramModel.load(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.update({"global": {"levels": 5}}), "global: 'levels'"),
+            (lambda p: p.update({"global": []}), "'global' has type list"),
+            (lambda p: p["global"]["levels"].pop(), "global: 'levels' must be a list of 2"),
+            (lambda p: p["global"]["levels"].__setitem__(1, {}), "level 1 is not a list"),
+            (lambda p: p["global"]["levels"][1].append([[4], 7]), "level 1 entry"),
+            (lambda p: p["global"]["levels"][1].append([[4, 4], []]), "level 1 entry"),
+            (lambda p: p["global"]["levels"][1].append([["a"], []]), "level 1 entry"),
+            (lambda p: p["global"]["levels"][1].append([[4], [[5, "2"]]]), "count"),
+            (lambda p: p["global"]["levels"][1].append([[4], [[99, 2]]]), "count"),
+            (lambda p: p["global"]["levels"][1].append([[4], [[-1, 2]]]), "count"),
+            (lambda p: p["global"]["levels"][1].append([[4], [[5, 0]]]), "count"),
+            (lambda p: p["global"]["levels"][1].append([[4], [[5]]]), "count"),
+            (lambda p: p.update({"signatures": {"( )": 5}}), "signature '\\( \\)'"),
+            (lambda p: p.update({"signatures": []}), "'signatures' has type list"),
+            (lambda p: p.update({"order": "2"}), "'order' has type str"),
+            (lambda p: p.update({"order": True}), "'order' has type bool"),
+            (lambda p: p.update({"discount": None}), "'discount' has type NoneType"),
+            (lambda p: p.update({"min_signature_examples": 1.5}), "has type float"),
+            (lambda p: p.update({"vocabulary": "abc"}), "'vocabulary' has type str"),
+            (lambda p: p["vocabulary"].append(7), "only strings"),
+            (lambda p: p.update({"discount": 2}), "discount must lie in"),
+        ],
+    )
+    def test_fields_of_the_wrong_type_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "model.json"
+        single_sequence_model(order=2).save(path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            NGramModel.load(path)
+
+
+class TestBindMemo:
+    def count_signatures(self, monkeypatch):
+        calls = []
+        real = scorers._context_signature
+
+        def counting(vocabulary, context):
+            calls.append(context)
+            return real(vocabulary, context)
+
+        monkeypatch.setattr(scorers, "_context_signature", counting)
+        return calls
+
+    def test_same_id_context_resolves_its_signature_once(self, monkeypatch):
+        mr_a, mr_b, model = TestSignatureSubmodels().build()
+        vocab = model.vocabulary
+        ids_a = vocab.encode(linearize(canonicalize(mr_a)))
+        calls = self.count_signatures(monkeypatch)
+        prefix = vocab.encode(["alpha"])
+        first = model.logprobs(prefix, ids_a)
+        again = model.logprobs(prefix, list(ids_a))
+        assert len(calls) == 1
+        assert np.array_equal(first, again)
+        assert np.array_equal(first, model.logprobs(prefix, mr_a))
+
+    def test_memo_follows_the_last_context(self, monkeypatch):
+        mr_a, mr_b, model = TestSignatureSubmodels().build()
+        vocab = model.vocabulary
+        prefix = vocab.encode(["alpha"])
+        ids = {mr: vocab.encode(linearize(canonicalize(mr))) for mr in (mr_a, mr_b)}
+        calls = self.count_signatures(monkeypatch)
+        for mr in (mr_a, mr_b, mr_a, mr_a, mr_b):
+            assert np.array_equal(model.logprobs(prefix, ids[mr]), model.logprobs(prefix, mr))
+        # one per tree context, and one per change of id context
+        assert len(calls) == 5 + 4
+
+    def test_bad_context_raises_on_every_call(self):
+        model = single_sequence_model()
+        size = len(model.vocabulary)
+        for _ in range(3):
+            for bad in ([0, size], [-1]):
+                with pytest.raises(UnknownToken):
+                    model.bind(bad)
+        assert model._last_bind is None
+
+    def test_pickled_model_carries_no_memo(self):
+        model = single_sequence_model()
+        model.bind([0, 1])
+        assert model._last_bind is not None
+        clone = pickle.loads(pickle.dumps(model))
+        assert clone._last_bind is None
+        assert np.array_equal(clone.logprobs([], [0, 1]), model.logprobs([], [0, 1]))
+
 
 class TestPerplexity:
     def test_trained_model_beats_uniform_on_training_data(self):
@@ -450,39 +546,64 @@ with open(sys.argv[0] + ".pid", "w") as fh:
     fh.write(str(os.getpid()))
 if mode == "mute":
     time.sleep(600)
-handshake = {"vocab_size": n, "protocol": 2}
+handshake = {"vocab_size": n, "protocol": 3}
 if mode == "no-protocol":
     del handshake["protocol"]
 elif mode == "old-protocol":
-    handshake["protocol"] = 1
+    handshake["protocol"] = 2
 print(json.dumps(handshake), flush=True)
 if mode == "die":
     sys.exit(0)
 if mode == "deaf":
     time.sleep(5)
     sys.exit(0)
+previous = []
 for line in sys.stdin:
     if mode == "hang":
         time.sleep(600)
     req = json.loads(line)
     rid = req["id"] + (1 if mode == "bad-id" else 0)
     if mode == "error":
+        previous = []
         print(json.dumps({"id": rid, "error": "model not loaded"}), flush=True)
         continue
-    rows = [[math.log(1.0 / n)] * n for _ in req["prefixes"]]
-    if mode == "short":
-        rows[-1].pop()
-    elif mode == "bad-sum":
-        rows[-1] = [math.log(1.5 / n)] * n
+    previous = [
+        (previous[p] if p >= 0 else []) + tail for p, tail in zip(req["parents"], req["tails"])
+    ]
+    per_prefix = [[math.log(1.0 / n)] * n for _ in previous]
+    if mode == "bad-sum":
+        per_prefix[-1] = [math.log(1.5 / n)] * n
     elif mode == "nan":
-        rows[-1][0] = float("nan")
-    floats = [x for row in rows for x in row]
-    encoded = base64.b64encode(struct.pack("<%dd" % len(floats), *floats)).decode()
+        per_prefix[-1][0] = float("nan")
+    # each distinct row once, in first-seen order
+    distinct, rows = [], []
+    for row in per_prefix:
+        packed = struct.pack("<%dd" % n, *row)
+        if packed not in distinct:
+            distinct.append(packed)
+        rows.append(distinct.index(packed))
+    raw = b"".join(distinct)
+    if mode == "short":
+        raw = raw[:-8]
+    encoded = base64.b64encode(raw).decode()
     if mode == "bad-base64":
         encoded = "*" + encoded[1:]
     elif mode == "not-string":
-        encoded = floats
-    print(json.dumps({"id": rid, "logprobs": encoded}), flush=True)
+        encoded = list(struct.unpack("<%dd" % (len(raw) // 8), raw))
+    frame = {"id": rid, "logprobs": encoded, "rows": rows}
+    if mode == "no-rows":
+        del frame["rows"]
+    elif mode == "rows-not-list":
+        frame["rows"] = {"0": 0}
+    elif mode == "rows-short":
+        frame["rows"] = rows[:-1]
+    elif mode == "rows-past-end":
+        frame["rows"] = rows[:-1] + [len(distinct)]
+    elif mode == "rows-negative":
+        frame["rows"] = rows[:-1] + [-1]
+    elif mode == "rows-not-int":
+        frame["rows"] = rows[:-1] + [0.0]
+    print(json.dumps(frame), flush=True)
 """
 
 
@@ -519,6 +640,24 @@ class TestExternalScorer:
                 remote.bind(None).logprobs([[], [len(vocab)]])
             assert remote._next_id == 0
 
+    def test_only_new_tail_ids_are_sent_and_checked(self, tmp_path):
+        vocab = self.vocab()
+        size = len(vocab)
+        with ExternalScorer(spawn_args(tmp_path, size), vocab) as remote:
+            session = remote.bind(None)
+            session.logprobs([[4], [5, 6]])
+            assert remote._sent == {(4,): 0, (5, 6): 1}
+            # an extension is checked on its new id only; nothing is sent
+            for bad in (size, -1):
+                with pytest.raises(UnknownToken) as info:
+                    session.logprobs([[5, 6, 4], [4, bad]])
+                assert info.value.args[0] == bad
+            assert remote._next_id == 1
+            assert remote._sent == {(4,): 0, (5, 6): 1}
+            matrix = session.logprobs([[5, 6, 4], [4, 6], [6, 4]])
+            assert remote._sent == {(5, 6, 4): 0, (4, 6): 1, (6, 4): 2}
+        assert np.array_equal(matrix, np.full((3, size), math.log(1.0 / size)))
+
     def test_handshake_size_mismatch(self, tmp_path):
         vocab = self.vocab()
         with pytest.raises(ProtocolViolation, match="vocab_size"):
@@ -529,18 +668,53 @@ class TestExternalScorer:
             os.kill(pid, 0)
 
     @pytest.mark.parametrize("mode", ["no-protocol", "old-protocol"])
-    def test_handshake_without_protocol_2(self, tmp_path, mode):
+    def test_handshake_without_protocol_3(self, tmp_path, mode):
         vocab = self.vocab()
         with pytest.raises(ProtocolViolation, match="protocol"):
             ExternalScorer(spawn_args(tmp_path, len(vocab), mode), vocab)
 
     def test_wrong_vector_length(self, tmp_path):
         vocab = self.vocab()
-        with ExternalScorer(spawn_args(tmp_path, len(vocab), "short"), vocab) as remote:
+        size = len(vocab)
+        with ExternalScorer(spawn_args(tmp_path, size, "short"), vocab) as remote:
             with pytest.raises(ProtocolViolation, match="bytes"):
                 remote.logprobs([], None)
-            with pytest.raises(ProtocolViolation, match=f"{8 * 2 * len(vocab)} bytes"):
+            # two equal rows travel as one, and that one is a float short
+            with pytest.raises(
+                ProtocolViolation, match=f"whole rows of {8 * size} bytes .* got {8 * size - 8}"
+            ):
                 remote.bind(None).logprobs([[], []])
+
+    @pytest.mark.parametrize(
+        "mode, message",
+        [
+            ("no-rows", "rows must be a list of 2 row indices"),
+            ("rows-not-list", "rows must be a list of 2 row indices"),
+            ("rows-short", "rows must be a list of 2 row indices"),
+            ("rows-past-end", r"rows must index the 1 rows sent, got \[0, 1\]"),
+            ("rows-negative", r"rows must index the 1 rows sent, got \[0, -1\]"),
+            ("rows-not-int", r"rows must index the 1 rows sent, got \[0, 0.0\]"),
+        ],
+    )
+    def test_bad_rows_field(self, tmp_path, mode, message):
+        vocab = self.vocab()
+        with ExternalScorer(spawn_args(tmp_path, len(vocab), mode), vocab) as remote:
+            with pytest.raises(ProtocolViolation, match=message):
+                remote.bind(None).logprobs([[], []])
+            # the violation left the client referencing nothing: the next
+            # request sends whole prefixes, which the double rebuilds
+            with pytest.raises(ProtocolViolation, match="rows"):
+                remote.bind(None).logprobs([[0, 1], [0]])
+            assert remote._sent == {}
+
+    def test_rows_fan_distinct_rows_out_to_prefixes(self, tmp_path):
+        vocab = self.vocab()
+        size = len(vocab)
+        with ExternalScorer(spawn_args(tmp_path, size, "nan"), vocab) as remote:
+            # the last prefix's row differs from the two before it, so two
+            # distinct rows travel, and the first bad prefix is named
+            with pytest.raises(ProtocolViolation, match="row 2: probabilities sum to nan"):
+                remote.bind(None).logprobs([[], [4], [5]])
 
     def test_probability_sum_off_by_half(self, tmp_path):
         vocab = self.vocab()
@@ -682,12 +856,13 @@ class TestServeLoop:
     def test_loop_answers_in_process_streams(self):
         vocab = Vocabulary.from_tokens(["a", "b"])
         scorer = UniformScorer(vocab)
-        request = json.dumps({"id": 7, "prefixes": [[]], "context": []})
+        request = json.dumps({"id": 7, "parents": [-1], "tails": [[]], "context": []})
         out = io.StringIO()
         serve_loop(scorer, io.StringIO(request + "\n"), out)
         handshake, response = [json.loads(l) for l in out.getvalue().splitlines()]
-        assert handshake == {"vocab_size": len(vocab), "protocol": 2}
+        assert handshake == {"vocab_size": len(vocab), "protocol": 3}
         assert response["id"] == 7
+        assert response["rows"] == [0]
         row = np.frombuffer(base64.b64decode(response["logprobs"]), dtype="<f8")
         assert len(row) == len(vocab)
         assert np.array_equal(row, scorer.logprobs([], None))
@@ -699,12 +874,12 @@ class TestServeLoop:
         lines = [
             "{not json",
             "[1, 2]",
-            json.dumps({"id": 1, "context": []}),
-            json.dumps({"id": 2, "prefixes": [[]]}),
-            json.dumps({"id": 3, "context": [], "prefixes": [[0], [size]]}),
-            json.dumps({"id": 4, "context": [], "prefixes": [["a"]]}),
-            json.dumps({"id": 5, "context": "abc", "prefixes": []}),
-            json.dumps({"id": 6, "context": [], "prefixes": [[0], [1, 2]]}),
+            json.dumps({"id": 1, "context": [], "parents": []}),
+            json.dumps({"id": 2, "parents": [-1], "tails": [[]]}),
+            json.dumps({"id": 3, "context": [], "parents": [-1, -1], "tails": [[0], [size]]}),
+            json.dumps({"id": 4, "context": [], "parents": [-1], "tails": [["a"]]}),
+            json.dumps({"id": 5, "context": "abc", "parents": [], "tails": []}),
+            json.dumps({"id": 6, "context": [], "parents": [-1, -1], "tails": [[0], [1, 2]]}),
         ]
         out = io.StringIO()
         serve_loop(scorer, io.StringIO("\n".join(lines) + "\n"), out)
@@ -713,10 +888,103 @@ class TestServeLoop:
         errors = [f["error"] for f in frames[:-1]]
         assert "not JSON" in errors[0]
         assert "not a JSON object" in errors[1]
-        assert "'prefixes'" in errors[2]
+        assert "'tails'" in errors[2]
         assert "'context'" in errors[3]
         assert errors[4] == f"unknown token id {size}"
         assert "token ids" in errors[5] and "token ids" in errors[6]
         assert "error" not in frames[-1]
-        matrix = np.frombuffer(base64.b64decode(frames[-1]["logprobs"]), dtype="<f8")
-        assert np.array_equal(matrix.reshape(2, size), np.full((2, size), -math.log(size)))
+        distinct = np.frombuffer(base64.b64decode(frames[-1]["logprobs"]), dtype="<f8")
+        matrix = distinct.reshape(-1, size)[frames[-1]["rows"]]
+        assert np.array_equal(matrix, np.full((2, size), -math.log(size)))
+
+
+def serve(scorer, requests):
+    """The frames serve_loop answers to these requests, handshake dropped."""
+    out = io.StringIO()
+    lines = "".join(json.dumps(r) + "\n" for r in requests)
+    serve_loop(scorer, io.StringIO(lines), out)
+    return [json.loads(l) for l in out.getvalue().splitlines()][1:]
+
+
+def frame_matrix(frame, size):
+    distinct = np.frombuffer(base64.b64decode(frame["logprobs"]), dtype="<f8")
+    return distinct.reshape(-1, size)[frame["rows"]]
+
+
+class TestServeLoopProtocol3:
+    def request(self, rid, parents, tails, context=()):
+        return {"id": rid, "context": list(context), "parents": parents, "tails": tails}
+
+    def test_parents_rebuild_prefixes_of_the_previous_request(self):
+        model = single_sequence_model(order=3)
+        size = len(model.vocabulary)
+        frames = serve(
+            model,
+            [
+                self.request(0, [-1], [[]]),
+                self.request(1, [0, 0, -1], [[4], [5], [6, 4]]),
+                self.request(2, [2, 0, 1, -1], [[5], [5], [4], []]),
+            ],
+        )
+        expected = [
+            [()],
+            [(4,), (5,), (6, 4)],
+            [(6, 4, 5), (4, 5), (5, 4), ()],
+        ]
+        for frame, prefixes in zip(frames, expected):
+            assert "error" not in frame
+            want = model.bind(None).logprobs(prefixes)
+            assert frame_matrix(frame, size).tobytes() == want.tobytes()
+
+    def test_each_distinct_row_is_sent_once_in_first_seen_order(self):
+        # order 2: the row depends on the last id alone
+        model = single_sequence_model(order=2)
+        size = len(model.vocabulary)
+        (frame,) = serve(model, [self.request(0, [-1] * 5, [[4], [5, 4], [5], [], [6, 5]])])
+        assert frame["rows"] == [0, 0, 1, 2, 1]
+        distinct = np.frombuffer(base64.b64decode(frame["logprobs"]), dtype="<f8")
+        assert len(distinct) == 3 * size
+        want = model.bind(None).logprobs([(4,), (5,), ()])
+        assert distinct.tobytes() == want.tobytes()
+
+    def test_hostile_parents_get_error_frames_and_clear_the_state(self):
+        vocab = Vocabulary.from_tokens(["a", "b"])
+        scorer = UniformScorer(vocab)
+        frames = serve(
+            scorer,
+            [
+                # a parent reference in the first request
+                self.request(0, [0], [[4]]),
+                self.request(1, [-1, -1], [[4], [5]]),
+                # out of range: the previous request held two prefixes
+                self.request(2, [2], [[4]]),
+                # a good reference, but the error before cleared the state
+                self.request(3, [0], [[4]]),
+                self.request(4, [-1, -1], [[4], [5]]),
+                self.request(5, ["0"], [[4]]),
+                self.request(6, [-1], [[4]]),
+                self.request(7, [1.0], [[4]]),
+                self.request(8, [-1], [[4]]),
+                self.request(9, [True], [[4]]),
+                self.request(10, [-1], [[4]]),
+                self.request(11, [0, 0], [[4]]),
+                self.request(12, [-1], [[4]]),
+                self.request(13, [-2], [[4]]),
+                self.request(14, [-1], [[4]]),
+                self.request(15, None, [[4]]),
+                self.request(16, [-1], [[4]]),
+                self.request(17, [0], [[5]]),
+            ],
+        )
+        assert [f["id"] for f in frames] == list(range(18))
+        refused = [f["id"] for f in frames if "error" in f]
+        assert refused == [0, 2, 3, 5, 7, 9, 11, 13, 15]
+        assert "not -1 or one of the 0 previous prefixes" in frames[0]["error"]
+        assert "not -1 or one of the 2 previous prefixes" in frames[2]["error"]
+        assert "not -1 or one of the 0 previous prefixes" in frames[3]["error"]
+        for rid in (5, 7, 9, 15):
+            assert frames[rid]["error"] == "parents must be a list of ints"
+        assert frames[11]["error"] == "2 parents but 1 tails"
+        assert "not -1 or one of the 1 previous prefixes" in frames[13]["error"]
+        # serving went on: the last request extends the one before it
+        assert frame_matrix(frames[17], len(vocab)).shape == (1, len(vocab))
