@@ -3,16 +3,16 @@
 Three modes: constrained masks structurally illegal tokens at every
 expansion so only valid realizations survive; unconstrained is plain
 beam search; rerank runs unconstrained and then stably moves tree-valid
-candidates to the front.  Every mode checks each finished candidate once
-against the MR and records the answer in its tree_valid flag, which
-rerank reads.  Ties between equal-score expansions break
-lexicographically on token ids, so decoding is deterministic.
+candidates to the front.  Every mode walks each hypothesis through the
+MR's automaton, and a candidate is tree_valid when its EOS leaves a live
+alignment state; only the mask differs between modes.  Ties between
+equal-score expansions break lexicographically on token ids.
 
-Constrained mode also enforces the token budget: moves whose cheapest
-remaining closure cannot fit in max_length are masked, words included,
-so a hypothesis near the wall is steered into closing brackets instead
-of running out mid-tree.  A constrained decode can then only fail when
-the scorer itself zeroes out every budget-respecting continuation.
+Constrained mode also masks moves, words included, whose completion
+cannot fit in max_length, steering hypotheses into closing brackets.
+That cost prices full realization (min_completion_tokens), so an MR with
+identical subtrees can fail under a max_length its shortest, elided
+realization fits, until exact completion costs (ROADMAP.md) mend it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 from .constraints import (
     StateSet,
     build_constraints,
-    check_tree,
     completion_cost,
     initial_states,
     valid_structural_tokens,
@@ -83,7 +82,7 @@ class DecodeResult:
 class DecodingFailed(RuntimeError):
     """No hypothesis reached an accepted EOS within max_length."""
 
-    def __init__(self, reason: str, partial: Candidate | None = None):
+    def __init__(self, reason: str, partial: Candidate):
         super().__init__(reason)
         self.reason = reason
         self.partial = partial
@@ -130,109 +129,106 @@ def decode(
     context = vocab.encode(mr_tokens)
     max_length = config.max_length or 2 * len(mr_tokens) + 64
 
-    # rerank searches unconstrained; the tracker only checks its candidates
     constrained = config.mode is DecodeMode.CONSTRAINED
     tracker = build_constraints(tree)
     session = bind(scorer, context)
     structural = np.array(vocab.structural_ids)
-    token_ids = {vocab.token(i): i for i in vocab.structural_ids}
-    eos_id = vocab.eos_id
     size = len(vocab)
 
+    # the walk, per decode: state set -> its moves, the tracker memo's own
+    # {Open/Close/EOS token -> next state set}.  A word keeps the states, a
+    # structural token without a move empties them, and empty stays empty.
+    walk: dict[StateSet, dict[str, StateSet]] = {}
+    structural_token = {i: vocab.token(i) for i in vocab.structural_ids}
+
     # the beam as parallel lists: prefix ids, float64 totals, and each
-    # hypothesis's alignment states (None when the search is unconstrained)
+    # hypothesis's alignment states
     prefixes: list[tuple[int, ...]] = [()]
     scores = np.zeros(1)
-    state_sets: list[StateSet | None] = [initial_states(tracker) if constrained else None]
-    last_prefixes, last_scores = prefixes, scores
-    finished: list[tuple[tuple[int, ...], float]] = []
-    # per decode: (states, moves kept, idling overruns) -> (blocked row,
-    # structural id -> the state set it leads to).  A smaller budget only
-    # drops moves, so the count of moves kept names the kept set.
-    mask_rows: dict[tuple[StateSet, int, bool], tuple[np.ndarray, dict[int, StateSet]]] = {}
+    state_sets: list[StateSet] = [initial_states(tracker)]
+    # (ids, score, whether its EOS left a live alignment state)
+    finished: list[tuple[tuple[int, ...], float, bool]] = []
+    # constrained, per decode: (states, moves kept, idling overruns) ->
+    # blocked row.  A smaller budget only drops moves, so the count of
+    # moves kept names the kept set.
+    blocked_rows: dict[tuple[StateSet, int, bool], np.ndarray] = {}
     k = config.beam_size
 
-    for _ in range(max_length):
-        if not prefixes:
-            break
-        last_prefixes, last_scores = prefixes, scores
+    for length in range(max_length):  # every live hypothesis holds `length` ids
         if len(finished) >= k and not config.length_penalty:
             # log-probs are <= 0, so a live score only falls; once the
             # best live hypothesis is below the provisional cut it can
             # never enter the final ranking.  With a length penalty the
             # adjusted score is not monotone, so run out max_length.
-            bound = sorted((s for _, s in finished), reverse=True)[k - 1]
+            bound = sorted((s for _, s, _ in finished), reverse=True)[k - 1]
             if scores.max() < bound:
                 break
         # a new matrix: the session's own rows are never written to
         grid = np.asarray(session.logprobs(prefixes), dtype=np.float64) + scores[:, None]
-        # per hypothesis: structural token id -> the state set it leads to
-        moves: list[dict[int, StateSet]] = []
         if constrained:
+            # budget: tokens that may still follow the one chosen now.
+            # Structural moves whose cheapest completion overruns it are
+            # masked, and once idling would overrun it, words are masked
+            # too, so surviving hypotheses always close out in time.
+            budget = max_length - length - 1
             blocked = []
-            for ids, states in zip(prefixes, state_sets):
-                # budget: tokens that may still follow the one chosen now.
-                # Structural moves whose cheapest completion overruns it are
-                # masked, and once idling would overrun it, words are masked
-                # too, so surviving hypotheses always close out in time.
-                budget = max_length - len(ids) - 1
+            for states in state_sets:
                 kept = valid_structural_tokens(tracker, states, budget=budget)
                 starved = completion_cost(tracker, states) > budget
                 key = (states, len(kept), starved)
-                row = mask_rows.get(key)
+                row = blocked_rows.get(key)
                 if row is None:
-                    successors = {token_ids[token]: nxt for token, nxt in kept.items()}
-                    mask = np.full(size, starved)
-                    mask[structural] = True
-                    mask[list(successors)] = False
-                    row = mask_rows[key] = (mask, successors)
-                blocked.append(row[0])
-                moves.append(row[1])
+                    row = blocked_rows[key] = np.full(size, starved)
+                    row[structural] = True
+                    row[vocab.encode(list(kept))] = False
+                blocked.append(row)
             grid[np.array(blocked)] = -np.inf
         # ties go to the higher-ranked hypothesis, then the smaller token id
         flat = grid.ravel()
         order = _top_k(flat, k)
         next_prefixes: list[tuple[int, ...]] = []
         next_scores: list[float] = []
-        next_states: list[StateSet | None] = []
+        next_states: list[StateSet] = []
         for idx, total in zip(order.tolist(), flat[order].tolist()):
             if total == -math.inf or math.isnan(total):
                 break
             hyp, token_id = divmod(idx, size)
             ids = prefixes[hyp]
-            if token_id == eos_id:
-                finished.append((ids, total))
+            states = state_sets[hyp]
+            token = structural_token.get(token_id)
+            if token is not None and states:
+                moves = walk.get(states)
+                if moves is None:
+                    moves = walk[states] = valid_structural_tokens(tracker, states)
+                states = moves.get(token, frozenset())
+            if token == EOS:
+                finished.append((ids, total, bool(states)))
             else:
                 next_prefixes.append(ids + (token_id,))
                 next_scores.append(total)
-                # words (and every token when unconstrained) keep the states
-                states = state_sets[hyp]
-                next_states.append(moves[hyp].get(token_id, states) if constrained else states)
+                next_states.append(states)
+        if not next_prefixes:
+            break
         prefixes, scores, state_sets = next_prefixes, np.array(next_scores), next_states
 
     if not finished:
-        partial = None
-        if not prefixes:
-            prefixes, scores = last_prefixes, last_scores
-        if prefixes:
-            best = max(range(len(prefixes)), key=scores.__getitem__)
-            tokens = tuple(vocab.decode(prefixes[best]))
-            partial = Candidate(tokens, float(scores[best]), check_tree(tracker, tokens))
-        raise DecodingFailed(
-            f"no hypothesis finished within max_length={max_length}", partial
-        )
+        best = int(scores.argmax())
+        states = state_sets[best]
+        valid = bool(states) and EOS in valid_structural_tokens(tracker, states)
+        partial = Candidate(tuple(vocab.decode(prefixes[best])), float(scores[best]), valid)
+        raise DecodingFailed(f"no hypothesis finished within max_length={max_length}", partial)
 
-    def rank_key(entry: tuple[tuple[int, ...], float]):
-        ids, score = entry
+    def rank_key(entry: tuple[tuple[int, ...], float, bool]):
+        ids, score, _ = entry
         if config.length_penalty:
             score = score / (len(ids) + 1) ** config.length_penalty
         return (-score, ids)
 
     finished.sort(key=rank_key)
-    candidates = []
-    for ids, score in finished[: config.beam_size]:
-        tokens = tuple(vocab.decode(ids))
-        candidates.append(Candidate(tokens, score, check_tree(tracker, tokens)))
+    candidates = [
+        Candidate(tuple(vocab.decode(ids)), score, valid)
+        for ids, score, valid in finished[:k]
+    ]
     if config.mode is DecodeMode.RERANK:
         candidates = rerank_by_tree_accuracy(candidates)
     return DecodeResult(candidates)
@@ -241,9 +237,7 @@ def decode(
 def rerank_by_tree_accuracy(candidates: list[Candidate]) -> list[Candidate]:
     """Stable partition: tree-valid candidates first, score order kept.
 
-    Reads each candidate's tree_valid flag, which decode sets with the
-    MR's tracker; nothing is checked again here.
+    Reads each candidate's tree_valid flag, which decode sets from its
+    automaton walk; nothing is checked again here.
     """
-    return [c for c in candidates if c.tree_valid] + [
-        c for c in candidates if not c.tree_valid
-    ]
+    return sorted(candidates, key=lambda c: not c.tree_valid)

@@ -27,13 +27,13 @@ from pathlib import Path
 from . import __version__
 from .beam import DecodeConfig, DecodeMode, DecodingFailed, decode
 from .constraints import first_rejection
-from .corpus import MalformedLine, numbered_lines, parse_example, read_corpus
+from .corpus import CorpusExample, MalformedLine, numbered_lines, parse_example, read_corpus
 from .corpus import write_corpus, write_json, write_jsonl
 from .delex import DelexTable, UnknownPlaceholder, delexicalize_example, relexicalize
 from .metrics import EvalReport, bleu4, diversity, tree_accuracy
 from .ontology import Ontology, UnknownLabel, restaurant_ontology, weather_ontology
 from .scorers import NGramModel, train_ngram
-from .trees import TreeError, parse_linearized, parse_mr, to_string
+from .trees import MrTree, TreeError, parse_linearized, parse_mr, to_string
 from .weather import SynthConfig, synthesize_corpus
 
 
@@ -59,6 +59,14 @@ def _read(path, load):
         raise CliError(f"{path}:{exc.line_number}: {exc.reason}")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}")
+
+
+def _mr_at(path, example: CorpusExample, ontology: Ontology) -> MrTree:
+    """The example's MR; one that does not parse is a CliError at its file line."""
+    try:
+        return example.mr_tree(ontology)
+    except (TreeError, UnknownLabel) as exc:
+        raise CliError(f"{path}:{example.line}: bad MR: {exc}")
 
 
 def _text(path) -> str:
@@ -212,10 +220,10 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[int, Manifest | None]:
 def _cmd_train_scorer(args: argparse.Namespace) -> tuple[int, Manifest]:
     ontology = _ONTOLOGIES[args.ontology]()
     examples = _read(args.corpus, read_corpus)
+    pairs = [
+        (_mr_at(args.corpus, ex, ontology), ex.annotated_response.split()) for ex in examples
+    ]
     try:
-        pairs = [
-            (ex.mr_tree(ontology), ex.annotated_response.split()) for ex in examples
-        ]
         model = train_ngram(
             pairs,
             order=args.order,
@@ -243,27 +251,16 @@ def _decode_init(state: dict) -> None:
     _WORKER.update(state)
 
 
-def _decode_one(item: tuple[int, str]) -> dict:
-    index, mr_text = item
-    mr = parse_mr(mr_text, _WORKER["ontology"])
+def _decode_one(item: tuple[int, MrTree]) -> dict:
+    index, mr = item
+    record = {"index": index, "score": None, "tree_valid": False, "failure": None}
     try:
-        result = decode(mr, _WORKER["model"], _WORKER["config"])
+        best = decode(mr, _WORKER["model"], _WORKER["config"]).candidates[0]
     except DecodingFailed as exc:
-        partial = list(exc.partial.tokens) if exc.partial is not None else []
-        return {
-            "index": index,
-            "tokens": partial,
-            "score": None,
-            "tree_valid": False,
-            "failure": exc.reason,
-        }
-    best = result.candidates[0]
-    return {
-        "index": index,
-        "tokens": list(best.tokens),
-        "score": best.score,
-        "tree_valid": best.tree_valid,
-        "failure": None,
+        # the best unfinished hypothesis, never counted as valid
+        return record | {"tokens": list(exc.partial.tokens), "failure": exc.reason}
+    return record | {
+        "tokens": list(best.tokens), "score": best.score, "tree_valid": best.tree_valid
     }
 
 
@@ -277,7 +274,8 @@ def _cmd_decode(args: argparse.Namespace) -> tuple[int, Manifest]:
     examples = _read(args.corpus, read_corpus)
     if args.limit is not None:
         examples = examples[: args.limit]
-    items = [(i, ex.mr) for i, ex in enumerate(examples)]
+    ontology = _ONTOLOGIES[args.ontology]()
+    items = [(i, _mr_at(args.corpus, ex, ontology)) for i, ex in enumerate(examples)]
     try:
         model = _read(args.model, NGramModel.load)
     except ValueError as exc:
@@ -285,7 +283,6 @@ def _cmd_decode(args: argparse.Namespace) -> tuple[int, Manifest]:
     try:
         state = {
             "model": model,
-            "ontology": _ONTOLOGIES[args.ontology](),
             "config": DecodeConfig(
                 beam_size=args.beam_size,
                 max_length=args.max_length,
@@ -351,7 +348,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> tuple[int, Manifest]:
                 f"{args.predictions}: example {index} has no list of string tokens"
             )
         example = examples[index]
-        pairs.append((index, parse_mr(example.mr, ontology), tokens))
+        pairs.append((index, _mr_at(args.corpus, example, ontology), tokens))
         hypotheses.append(_surface(tokens))
         references.append([example.response.split()])
     if pairs:
@@ -387,16 +384,17 @@ def _cmd_delex(args: argparse.Namespace) -> tuple[int, Manifest]:
     ontology = _ONTOLOGIES[args.ontology]()
     examples = _read(args.corpus, read_corpus)
     rewritten = []
-    for position, example in enumerate(examples):
+    for example in examples:
+        mr = _mr_at(args.corpus, example, ontology)
         try:
             mr_out, annotated_out, table = delexicalize_example(
-                example.mr_tree(ontology),
+                mr,
                 example.annotated_tree(ontology),
                 ontology,
                 number_occurrences=args.number_occurrences,
             )
         except (TreeError, UnknownLabel, ValueError) as exc:
-            raise CliError(f"example {position}: {exc}")
+            raise CliError(f"{args.corpus}:{example.line}: {exc}")
         annotated_text = to_string(annotated_out)
         rewritten.append(
             dataclasses.replace(
@@ -415,15 +413,15 @@ def _cmd_delex(args: argparse.Namespace) -> tuple[int, Manifest]:
 def _cmd_relex(args: argparse.Namespace) -> tuple[int, Manifest]:
     examples = _read(args.corpus, read_corpus)
     restored = []
-    for position, example in enumerate(examples):
+    for example in examples:
         if example.delex_table is None:
-            raise CliError(f"example {position} has no delex table")
+            raise CliError(f"{args.corpus}:{example.line}: no delex table")
         try:
             table = DelexTable.from_json(example.delex_table)
             mr_tokens = relexicalize(example.mr, table)
             annotated_tokens = relexicalize(example.annotated_response, table)
         except (UnknownPlaceholder, ValueError) as exc:
-            raise CliError(f"example {position}: {exc}")
+            raise CliError(f"{args.corpus}:{example.line}: {exc}")
         restored.append(
             dataclasses.replace(
                 example,

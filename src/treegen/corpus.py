@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .ontology import Ontology
@@ -43,6 +43,8 @@ class CorpusExample:
     response: str
     annotated_response: str
     delex_table: list | None = None
+    # the 1-based file line read_corpus found it on; never written out
+    line: int | None = field(default=None, compare=False, repr=False)
 
     def mr_tree(self, ontology: Ontology) -> MrTree:
         return parse_mr(self.mr, ontology)
@@ -115,9 +117,11 @@ def read_corpus(path) -> list[CorpusExample]:
     examples: list[CorpusExample] = []
     for number, line in numbered_lines(path):
         try:
-            examples.append(parse_example(line))
+            example = parse_example(line)
         except ValueError as exc:
             raise MalformedLine(number, str(exc)) from exc
+        example.line = number
+        examples.append(example)
     return examples
 
 

@@ -329,12 +329,9 @@ def ref_beam_decode(mr: MrTree | MrNode, scorer, config: DecodeConfig) -> Decode
         live = next_live
 
     if not finished:
-        partial = None
-        remains = live or last_live
-        if remains:
-            ids, score, _ = max(remains, key=lambda h: h[1])
-            tokens = tuple(vocab.decode(ids))
-            partial = Candidate(tokens, score, check_tree(tracker, tokens))
+        ids, score, _ = max(live or last_live, key=lambda h: h[1])
+        tokens = tuple(vocab.decode(ids))
+        partial = Candidate(tokens, score, check_tree(tracker, tokens))
         raise DecodingFailed(f"no hypothesis finished within max_length={max_length}", partial)
 
     def rank_key(entry):

@@ -95,6 +95,23 @@ class WordedStructuralScorer:
         return self._vector.copy()
 
 
+class ScriptScorer:
+    """Scores the next token of one fixed script at 0 and all else -inf.
+
+    EOS is never scored, so a decode follows the script and then fails.
+    """
+
+    def __init__(self, vocabulary, script):
+        self.vocabulary = vocabulary
+        self._ids = vocabulary.encode(script)
+
+    def logprobs(self, prefix, context=None):
+        row = np.full(len(self.vocabulary), -np.inf)
+        if len(prefix) < len(self._ids):
+            row[self._ids[len(prefix)]] = 0.0
+        return row
+
+
 def vocab_for(mr, extra_words=()):
     return Vocabulary.from_tokens(list(linearize(canonicalize(mr))) + list(extra_words))
 
@@ -297,7 +314,11 @@ class TestScorerSessions:
 
 
 class TestBuildOnce:
-    """One tracker per decode, and one check_tree call per candidate."""
+    """One tracker per decode, and tree_valid from the decode's own walk.
+
+    decode never checks a finished candidate again: every flag, the
+    failed decode's partial included, equals a fresh check_tree.
+    """
 
     def count_builds(self, monkeypatch):
         calls = []
@@ -310,22 +331,29 @@ class TestBuildOnce:
         monkeypatch.setattr(treegen.constraints, "build_constraints", counting)
         return calls
 
+    def count_checks(self, monkeypatch):
+        # check_tree runs through first_rejection, so this counts both
+        checks = []
+        original = treegen.constraints.first_rejection
+
+        def counting(mr, output):
+            checks.append(output)
+            return original(mr, output)
+
+        monkeypatch.setattr(treegen.constraints, "first_rejection", counting)
+        return checks
+
     @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
     def test_build_constraints_runs_once_per_decode(self, mode, monkeypatch):
         mr_a, _, model = TestTrainedDecode().build()
         calls = self.count_builds(monkeypatch)
-        checks = []
-
-        def counting_check(mr, tokens):
-            checks.append(tokens)
-            return check_tree(mr, tokens)
-
-        monkeypatch.setattr(treegen.beam, "check_tree", counting_check)
+        checks = self.count_checks(monkeypatch)
         result = decode(mr_a, model, DecodeConfig(beam_size=10, mode=mode))
         assert len(calls) == 1
         assert len(result.candidates) > 1
-        # each candidate is checked once, rerank included
-        assert len(checks) == len(result.candidates)
+        assert not hasattr(treegen.beam, "check_tree")
+        assert checks == []
+        monkeypatch.undo()
         for candidate in result.candidates:
             assert candidate.tree_valid == check_tree(mr_a, candidate.tokens)
 
@@ -333,10 +361,28 @@ class TestBuildOnce:
         mr = mk("[INFORM [temp 20 ] ]")
         scorer = OneWordScorer(vocab_for(mr, ["be"]), "be")
         calls = self.count_builds(monkeypatch)
+        checks = self.count_checks(monkeypatch)
         with pytest.raises(DecodingFailed) as info:
             decode(mr, scorer, DecodeConfig(beam_size=3, max_length=12))
-        assert info.value.partial is not None
         assert len(calls) == 1
+        assert checks == []
+        partial = info.value.partial
+        assert partial.tree_valid == check_tree(mr, partial.tokens)
+
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    @pytest.mark.parametrize("cut", [0, 1], ids=["whole", "unclosed"])
+    def test_partial_verdict_comes_from_its_walk(self, mode, cut):
+        # the script is the MR's linearization, whole or short of its last
+        # Close; the partial is that script, valid exactly when whole
+        mr = mk("[INFORM [temp 20 ] ]")
+        whole = linearize(canonicalize(mr))
+        script = whole[: len(whole) - cut]
+        with pytest.raises(DecodingFailed) as info:
+            decode(mr, ScriptScorer(vocab_for(mr), script), DecodeConfig(mode=mode))
+        partial = info.value.partial
+        assert partial.tokens == tuple(script)
+        assert partial.tree_valid == (cut == 0) == check_tree(mr, script)
 
 
 class TestFailureModes:
@@ -365,6 +411,21 @@ class TestFailureModes:
         best = result.candidates[0]
         assert best.tree_valid
         assert len(best.tokens) < 12
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=DecodingFailed,
+        reason="the budget mask prices full realization, not the shorter elided one",
+    )
+    def test_budget_admits_an_elided_realization_that_fits(self):
+        # realizing one of the two identical acts takes 7 tokens plus EOS,
+        # but min_completion_tokens prices both acts, so every first move
+        # is masked under max_length 8 (up to 10; 11 fits both)
+        mr = repeated_join(2)
+        one_act = "[JOIN [INFORM [temp 20 ] ] ]".split()
+        assert len(one_act) == 7 and check_tree(mr, one_act)
+        result = decode(mr, UniformScorer(vocab_for(mr)), DecodeConfig(max_length=8))
+        assert result.candidates[0].tree_valid
 
     def test_max_length_shorter_than_any_realization(self):
         mr = mk("[JOIN [INFORM [temp 20 ] ] [INFORM [humidity low ] ] ]")
@@ -658,6 +719,7 @@ configs = st.builds(
     beam_size=st.integers(1, 12),
     max_length=st.one_of(st.none(), st.integers(2, 20)),
     mode=st.sampled_from(MODES),
+    length_penalty=st.sampled_from([0.0, 0.6, 1.0, -0.5]),
 )
 
 

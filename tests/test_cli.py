@@ -746,20 +746,46 @@ class TestDelexRelex:
         capsys.readouterr()
         out = tmp_path / "out.jsonl"
         assert run("relex", "--corpus", bad, "--out", out) == 2
-        assert one_error_line(capsys).startswith(f"error: example {number - 1}: ")
+        assert one_error_line(capsys).startswith(f"error: {bad}:{number}: ")
         assert not out.exists()
 
-    def test_relex_without_tables_is_an_error(self, workdir, tmp_path):
-        assert (
-            run(
-                "relex",
-                "--corpus",
-                workdir / "corpus" / "test.jsonl",
-                "--out",
-                tmp_path / "x.jsonl",
+    def test_relex_without_tables_is_an_error(self, workdir, tmp_path, capsys):
+        corpus = workdir / "corpus" / "test.jsonl"
+        assert run("relex", "--corpus", corpus, "--out", tmp_path / "x.jsonl") == 2
+        assert one_error_line(capsys) == f"error: {corpus}:1: no delex table"
+
+
+class TestBadTreeNamesItsLine:
+    """An MR that does not parse is reported at its file line, blank lines counted."""
+
+    def corpus(self, workdir, tmp_path) -> Path:
+        lines = (workdir / "corpus" / "test.jsonl").read_text().splitlines()
+        bad = json.loads(lines[1])
+        bad["mr"] = "[INFORM [temp 20 ]"
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join([lines[0], "", json.dumps(bad)]) + "\n")
+        return path
+
+    @pytest.mark.parametrize("command", ["train-scorer", "decode", "evaluate", "delex"])
+    def test_error_names_path_and_line(self, workdir, tmp_path, capsys, command):
+        corpus = self.corpus(workdir, tmp_path)
+        out = tmp_path / "out"
+        argv = [command, "--corpus", corpus, "--out", out]
+        if command == "decode":
+            argv += ["--model", workdir / "model.json"]
+        if command == "evaluate":
+            preds = tmp_path / "preds.jsonl"
+            preds.write_text(
+                "".join(
+                    json.dumps({"index": i, "tokens": ["a"], "failure": None}) + "\n"
+                    for i in (0, 1)
+                )
             )
-            == 2
-        )
+            argv += ["--predictions", preds]
+        assert run(*argv) == 2
+        line = one_error_line(capsys)
+        assert line == f"error: {corpus}:3: bad MR: 1 node(s) never closed"
+        assert not out.exists()
 
 
 MANIFEST_KEYS = {
