@@ -4,12 +4,13 @@ Three modes: constrained masks structurally illegal tokens at every
 expansion so only valid realizations survive; unconstrained is plain
 beam search; rerank runs unconstrained and then stably moves tree-valid
 candidates to the front.  Every mode walks each hypothesis through the
-MR's automaton, and a candidate is tree_valid when its EOS leaves a live
-alignment state; only the mask differs between modes.  Ties between
-equal-score expansions break lexicographically on token ids.
+MR's automaton, reading one table entry per state set, and a candidate
+is tree_valid when its EOS leaves a live alignment state; only the mask
+differs between modes.  Ties break lexicographically on token ids.
 
-Constrained mode also masks moves, words included, whose completion
-cannot fit in max_length, steering hypotheses into closing brackets.
+Constrained mode masks a token, word or move, when its entry in the
+state set's cost row (the fewest tokens that must follow it) exceeds the
+tokens max_length leaves, steering hypotheses into closing brackets.
 That cost prices full realization (min_completion_tokens), so an MR with
 identical subtrees can fail under a max_length its shortest, elided
 realization fits, until exact completion costs (ROADMAP.md) mend it.
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import (
+    ConstraintTracker,
     StateSet,
     build_constraints,
     completion_cost,
@@ -112,6 +114,32 @@ def _top_k(flat: np.ndarray, k: int) -> np.ndarray:
     return pool[np.argsort(neg[pool], kind="stable")[:k]]
 
 
+class _StateTable(dict):
+    """One decode's state set -> (cost row, successor by token id).
+
+    A cost counts the tokens that must still follow a token: the set's
+    cheapest completion for a word, the successor's for a move (EOS 0),
+    inf for any other structural id, whose successor is the empty set.
+    A word keeps the states.  Filled through valid_structural_tokens.
+    """
+
+    def __init__(self, tracker: ConstraintTracker, vocab):
+        self.tracker = tracker
+        self.vocab = vocab
+        self.template = np.zeros(len(vocab))
+        self.template[list(vocab.structural_ids)] = math.inf
+        self.unmoved = dict.fromkeys(vocab.structural_ids, frozenset())
+
+    def __missing__(self, states: StateSet) -> tuple[np.ndarray, dict[int, StateSet]]:
+        moves = valid_structural_tokens(self.tracker, states)
+        row = self.template + completion_cost(self.tracker, states)
+        successors = dict(self.unmoved)
+        for token_id, (nxt, cost) in zip(self.vocab.encode(list(moves)), moves.values()):
+            row[token_id] = cost
+            successors[token_id] = nxt
+        return self.setdefault(states, (row, successors))
+
+
 def decode(
     mr: MrTree | MrNode, scorer: Scorer, config: DecodeConfig | None = None
 ) -> DecodeResult:
@@ -132,14 +160,8 @@ def decode(
     constrained = config.mode is DecodeMode.CONSTRAINED
     tracker = build_constraints(tree)
     session = bind(scorer, context)
-    structural = np.array(vocab.structural_ids)
+    table = _StateTable(tracker, vocab)
     size = len(vocab)
-
-    # the walk, per decode: state set -> its moves, the tracker memo's own
-    # {Open/Close/EOS token -> next state set}.  A word keeps the states, a
-    # structural token without a move empties them, and empty stays empty.
-    walk: dict[StateSet, dict[str, StateSet]] = {}
-    structural_token = {i: vocab.token(i) for i in vocab.structural_ids}
 
     # the beam as parallel lists: prefix ids, float64 totals, and each
     # hypothesis's alignment states
@@ -148,10 +170,6 @@ def decode(
     state_sets: list[StateSet] = [initial_states(tracker)]
     # (ids, score, whether its EOS left a live alignment state)
     finished: list[tuple[tuple[int, ...], float, bool]] = []
-    # constrained, per decode: (states, moves kept, idling overruns) ->
-    # blocked row.  A smaller budget only drops moves, so the count of
-    # moves kept names the kept set.
-    blocked_rows: dict[tuple[StateSet, int, bool], np.ndarray] = {}
     k = config.beam_size
 
     for length in range(max_length):  # every live hypothesis holds `length` ids
@@ -171,18 +189,7 @@ def decode(
             # masked, and once idling would overrun it, words are masked
             # too, so surviving hypotheses always close out in time.
             budget = max_length - length - 1
-            blocked = []
-            for states in state_sets:
-                kept = valid_structural_tokens(tracker, states, budget=budget)
-                starved = completion_cost(tracker, states) > budget
-                key = (states, len(kept), starved)
-                row = blocked_rows.get(key)
-                if row is None:
-                    row = blocked_rows[key] = np.full(size, starved)
-                    row[structural] = True
-                    row[vocab.encode(list(kept))] = False
-                blocked.append(row)
-            grid[np.array(blocked)] = -np.inf
+            grid[np.array([table[states][0] for states in state_sets]) > budget] = -np.inf
         # ties go to the higher-ranked hypothesis, then the smaller token id
         flat = grid.ravel()
         order = _top_k(flat, k)
@@ -195,13 +202,8 @@ def decode(
             hyp, token_id = divmod(idx, size)
             ids = prefixes[hyp]
             states = state_sets[hyp]
-            token = structural_token.get(token_id)
-            if token is not None and states:
-                moves = walk.get(states)
-                if moves is None:
-                    moves = walk[states] = valid_structural_tokens(tracker, states)
-                states = moves.get(token, frozenset())
-            if token == EOS:
+            states = table[states][1].get(token_id, states)
+            if token_id == vocab.eos_id:
                 finished.append((ids, total, bool(states)))
             else:
                 next_prefixes.append(ids + (token_id,))
@@ -213,8 +215,7 @@ def decode(
 
     if not finished:
         best = int(scores.argmax())
-        states = state_sets[best]
-        valid = bool(states) and EOS in valid_structural_tokens(tracker, states)
+        valid = bool(table[state_sets[best]][1][vocab.eos_id])
         partial = Candidate(tuple(vocab.decode(prefixes[best])), float(scores[best]), valid)
         raise DecodingFailed(f"no hypothesis finished within max_length={max_length}", partial)
 

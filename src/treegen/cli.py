@@ -269,6 +269,15 @@ def _cmd_decode(args: argparse.Namespace) -> tuple[int, Manifest]:
         raise CliError(f"--limit must be >= 0, got {args.limit}")
     if args.jobs < 1:
         raise CliError(f"--jobs must be >= 1, got {args.jobs}")
+    try:
+        config = DecodeConfig(
+            beam_size=args.beam_size,
+            max_length=args.max_length,
+            mode=DecodeMode(args.mode),
+            length_penalty=args.length_penalty,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc))
     # more workers than cores only adds processes
     workers = min(args.jobs, os.cpu_count() or 1)
     examples = _read(args.corpus, read_corpus)
@@ -280,17 +289,9 @@ def _cmd_decode(args: argparse.Namespace) -> tuple[int, Manifest]:
         model = _read(args.model, NGramModel.load)
     except ValueError as exc:
         raise CliError(f"cannot load model {args.model}: {exc}")
+    state = {"model": model, "config": config}
+    _decode_init(state)
     try:
-        state = {
-            "model": model,
-            "config": DecodeConfig(
-                beam_size=args.beam_size,
-                max_length=args.max_length,
-                mode=DecodeMode(args.mode),
-                length_penalty=args.length_penalty,
-            ),
-        }
-        _decode_init(state)
         if workers > 1 and len(items) > 1:
             chunk = max(1, len(items) // (workers * 4))
             with ProcessPoolExecutor(

@@ -90,13 +90,13 @@ class _CompiledMoves(NamedTuple):
 
     idle: fewest tokens, EOS included, that finish some state of the set
     (infinite for the empty set, which never finishes).  moves: each
-    acceptable Open/Close/EOS token with the state set it leads to and
-    that set's own cheapest completion; EOS needs nothing after it, so its
-    cost is 0.
+    acceptable Open/Close/EOS token -> the state set it leads to and that
+    set's own cheapest completion; EOS needs nothing after it, so its cost
+    is 0.
     """
 
     idle: int | float
-    moves: tuple[tuple[str, StateSet, int], ...]
+    moves: dict[str, tuple[StateSet, int]]
 
 
 def _number_nodes(root: MrNode) -> tuple[list[MrNode], list[int], list[int]]:
@@ -287,15 +287,15 @@ def _compiled_moves(tracker: ConstraintTracker, states: StateSet) -> _CompiledMo
         for c in tracker.children_map[s.parent]
         if c not in s.coverage and c not in s.elided
     }
-    moves = []
+    moves = {}
     for tok in [open_token(label) for label in labels] + [CLOSE]:
         survivors = advance(tracker, states, tok)
         if survivors:
-            moves.append((tok, survivors, _cheapest(tracker, survivors)))
+            moves[tok] = (survivors, _cheapest(tracker, survivors))
     finished = advance(tracker, states, EOS)
     if finished:
-        moves.append((EOS, finished, 0))
-    entry = _CompiledMoves(_cheapest(tracker, states), tuple(moves))
+        moves[EOS] = (finished, 0)
+    entry = _CompiledMoves(_cheapest(tracker, states), moves)
     tracker.memo[states] = entry
     return entry
 
@@ -306,24 +306,18 @@ def completion_cost(tracker: ConstraintTracker, states: StateSet) -> int | float
 
 
 def valid_structural_tokens(
-    tracker: ConstraintTracker, states: StateSet, budget: int | None = None
-) -> dict[str, StateSet]:
+    tracker: ConstraintTracker, states: StateSet
+) -> dict[str, tuple[StateSet, int]]:
     """The Open/Close/EOS tokens acceptable from this state set.
 
-    Maps each acceptable token to the state set it leads to, so a caller
-    that takes the move needs no second step.  Surface words are always
-    acceptable, leave the states unchanged, and are not listed.
-    ``budget`` (>= 0) is the number of tokens that may still follow the
-    candidate; when given, tokens whose cheapest completion no longer
-    fits are dropped (EOS needs nothing after it and always fits).  The
-    moves and their costs come from the tracker's memo, so the budget is
-    one comparison per move.
+    Maps each acceptable token to the state set it leads to and that
+    set's cheapest completion (0 for EOS, which needs nothing after it),
+    so a caller that takes the move needs no second step, and a caller
+    with a budget of tokens left keeps the moves whose cost fits it.
+    Surface words are always acceptable, leave the states unchanged, and
+    are not listed.  Read from the tracker's memo.
     """
-    return {
-        tok: nxt
-        for tok, nxt, cost in _compiled_moves(tracker, states).moves
-        if budget is None or cost <= budget
-    }
+    return dict(_compiled_moves(tracker, states).moves)
 
 
 def _tokens_with_eos(output: str | Sequence[str]) -> list[str]:

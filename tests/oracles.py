@@ -299,9 +299,8 @@ def ref_beam_decode(mr: MrTree | MrNode, scorer, config: DecodeConfig) -> Decode
                 budget = max_length - len(ids) - 1
                 successors = {
                     token_ids[token]: nxt
-                    for token, nxt in valid_structural_tokens(
-                        tracker, states, budget=budget
-                    ).items()
+                    for token, (nxt, cost) in valid_structural_tokens(tracker, states).items()
+                    if cost <= budget
                 }
                 allowed = list(successors)
                 if completion_cost(tracker, states) > budget:

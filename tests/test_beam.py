@@ -28,7 +28,12 @@ from treegen.beam import (
     decode,
     rerank_by_tree_accuracy,
 )
-from treegen.constraints import build_constraints, check_tree
+from treegen.constraints import (
+    build_constraints,
+    check_tree,
+    initial_states,
+    valid_structural_tokens,
+)
 from treegen.ontology import weather_ontology
 from treegen.scorers import (
     ExternalScorer,
@@ -369,6 +374,24 @@ class TestBuildOnce:
         partial = info.value.partial
         assert partial.tree_valid == check_tree(mr, partial.tokens)
 
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    def test_one_constraint_read_per_state_set(self, mode, monkeypatch):
+        # the decode's table asks the automaton once per distinct state
+        # set, through the one traced function, and never per hypothesis
+        reads = []
+
+        def counting(tracker, states):
+            reads.append(states)
+            return valid_structural_tokens(tracker, states)
+
+        monkeypatch.setattr(treegen.beam, "valid_structural_tokens", counting)
+        for mr in (TestTrainedDecode().build()[0], repeated_join(4)):
+            del reads[:]
+            scorer = WordedStructuralScorer(vocab_for(mr, ["w"]))
+            decode(mr, scorer, DecodeConfig(beam_size=10, mode=mode))
+            assert reads and reads[0] == initial_states(build_constraints(mr))
+            assert len(reads) == len(set(reads))
 
     @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
     @pytest.mark.parametrize("cut", [0, 1], ids=["whole", "unclosed"])

@@ -427,11 +427,17 @@ class TestDecodePipeline:
             ("--jobs", -3, "--jobs must be >= 1, got -3"),
             ("--length-penalty", "nan", "length_penalty must be finite"),
             ("--length-penalty", "inf", "length_penalty must be finite"),
+            ("--beam-size", 0, "beam_size must be >= 1"),
+            ("--max-length", 1, "max_length must be >= 2"),
         ],
     )
     def test_out_of_range_option_is_a_usage_error(
-        self, workdir, tmp_path, capsys, flag, value, message
+        self, workdir, tmp_path, capsys, monkeypatch, flag, value, message
     ):
+        # refused before the corpus is read or the model loaded
+        reads = []
+        monkeypatch.setattr(cli, "read_corpus", lambda *a, **k: reads.append(a))
+        monkeypatch.setattr(cli.NGramModel, "load", lambda *a, **k: reads.append(a))
         code = run(
             "decode", "--corpus", workdir / "corpus" / "test.jsonl",
             "--model", workdir / "model.json", "--out", tmp_path / "preds.jsonl",
@@ -442,6 +448,7 @@ class TestDecodePipeline:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert message in lines[0]
         assert not (tmp_path / "preds.jsonl").exists()
+        assert reads == []
 
 
 # the commands that write one file

@@ -1,10 +1,12 @@
 """The acceptance automaton: construction, stepping, masking."""
 
+import math
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treegen.beam import _StateTable
 from treegen.constraints import (
     ROOT,
     AlignmentState,
@@ -27,6 +29,7 @@ from treegen.trees import (
     open_token,
     parse_mr,
 )
+from treegen.vocab import Vocabulary
 
 from oracles import enumerate_valid_skeletons, random_mr, ref_groups, ref_number_dfs
 
@@ -448,7 +451,9 @@ class TestMaskScores:
         states = feed(tracker, ["[JOIN"])
         moves = valid_structural_tokens(tracker, states)
         assert "[INFORM" in moves
-        assert moves["[INFORM"] == advance(tracker, states, "[INFORM")
+        successors, cost = moves["[INFORM"]
+        assert successors == advance(tracker, states, "[INFORM")
+        assert cost == min(min_completion_tokens(tracker, s) for s in successors)
         assert "hello" not in moves  # words are never listed, never masked
 
     def test_illegal_open_masked_to_neg_inf(self):
@@ -464,9 +469,9 @@ class TestMaskScores:
         tracker = build_constraints(TWO_ACT_MR)
         states = feed(tracker, ["[JOIN"])
         before = set(states)
-        moves = valid_structural_tokens(tracker, states, budget=20)
+        moves = valid_structural_tokens(tracker, states)
         assert set(states) == before
-        assert moves and all(nxt != states for nxt in moves.values())
+        assert moves and all(nxt != states for nxt, _ in moves.values())
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6))
@@ -491,16 +496,19 @@ class TestMaskScores:
             or (token == EOS and prefix + (EOS,) in accepted)
         }
         assert set(moves) == viable, (tree, prefix)
-        for token, successors in moves.items():
+        for token, (successors, _) in moves.items():
             assert successors == advance(tracker, states, token), (tree, prefix, token)
 
-        # the budget prune is sound: every structural move it keeps still has
-        # an accepted skeleton that fits in the tokens the budget leaves
+        # the beam's budget prune is sound: every structural move its cost
+        # row keeps still has an accepted skeleton that fits in the tokens
+        # the budget leaves
         budget = rng.randrange(len(base) - cut + 2)
-        kept = valid_structural_tokens(tracker, states, budget=budget)
+        vocab = Vocabulary.from_tokens(candidates)
+        row, successors = _StateTable(tracker, vocab)[states]
+        kept = {vocab.token(i): successors[i] for i in vocab.structural_ids if row[i] <= budget}
         assert set(kept) <= set(moves)
         for token, successors in kept.items():
-            assert successors == moves[token]
+            assert successors == moves[token][0]
             if token == EOS:
                 continue
             extended = prefix + (token,)
@@ -519,13 +527,16 @@ def join_of_twins(rng, copies):
 
 
 def uncached_moves(tracker, states):
-    """Every structural move with its cheapest completion, from advance alone."""
+    """Every structural move with its cheapest completion, from advance alone.
+
+    EOS needs nothing after it, so its cost is 0.
+    """
     labels = sorted({open_token(n.label) for n in tracker.nodes})
     moves = []
     for token in labels + [CLOSE, EOS]:
         successors = advance(tracker, states, token)
         if successors:
-            cost = min(min_completion_tokens(tracker, s) for s in successors)
+            cost = 0 if token == EOS else min(min_completion_tokens(tracker, s) for s in successors)
             moves.append((token, successors, cost))
     return moves
 
@@ -543,8 +554,8 @@ class TestCompiledMoves:
             tree = join_of_twins(rng, copies)
         accepted = enumerate_valid_skeletons(tree)
         prefixes = sorted({seq[:i] for seq in accepted for i in range(len(seq))}, key=len)
-        # one tracker for the whole walk, so later prefixes hit the memo
-        # with budgets other than the ones that filled it
+        # one tracker for the whole walk, so later prefixes, and the second
+        # read of each, hit the memo that earlier ones filled
         tracker = build_constraints(tree)
         walked = {(): initial_states(tracker)}
         for prefix in prefixes:
@@ -552,17 +563,13 @@ class TestCompiledMoves:
                 walked[prefix] = advance(tracker, walked[prefix[:-1]], prefix[-1])
             states = walked[prefix]
             idle = min(min_completion_tokens(tracker, s) for s in states)
-            reference = uncached_moves(tracker, states)
-            costs = {cost for _, _, cost in reference} | {idle}
-            budgets = sorted({max(c + d, 0) for c in costs for d in (-1, 0, 1)})
-            for budget in budgets + budgets[::-1] + [None]:
-                want = {
-                    token: successors
-                    for token, successors, cost in reference
-                    if budget is None or token == EOS or cost <= budget
-                }
-                got = valid_structural_tokens(tracker, states, budget)
-                assert got == want, (tree, prefix, budget)
+            want = {
+                token: (successors, cost)
+                for token, successors, cost in uncached_moves(tracker, states)
+            }
+            for _ in range(2):
+                got = valid_structural_tokens(tracker, states)
+                assert got == want, (tree, prefix)
             assert completion_cost(tracker, states) == idle, (tree, prefix)
         if copies is not None:
             assert max(len(states) for states in walked.values()) > 1
@@ -572,10 +579,53 @@ class TestCompiledMoves:
         states = feed(tracker, ["[JOIN"])
         first = valid_structural_tokens(tracker, states)
         assert states in tracker.memo
-        # the same successor objects come back, budget or not
-        again = valid_structural_tokens(tracker, states, budget=50)
-        assert all(again[token] is first[token] for token in again)
+        # the same successor objects come back on every read
+        again = valid_structural_tokens(tracker, states)
+        assert again == first
+        assert all(again[token][0] is first[token][0] for token in again)
         assert not build_constraints(TWO_ACT_MR).memo
+
+
+class TestCostRows:
+    """The beam's compiled mask against a mask rebuilt from advance alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([None, 2, 3, 4, 5, 6]))
+    def test_row_over_budget_equals_rebuilt_mask(self, seed, copies):
+        rng = random.Random(seed)
+        if copies is None:
+            tree = random_mr(rng, SCHEMA, max_nodes=7, value_pool=("v",))
+        else:
+            tree = join_of_twins(rng, copies)
+        tracker = build_constraints(tree)
+        full = linearize(tree)
+        vocab = Vocabulary.from_tokens(full + ["[JUSTIFY", "someword"])
+        structural = set(vocab.structural_ids)
+        table = _StateTable(tracker, vocab)
+        # every reachable state set, and the empty set off the automaton
+        reachable = {frozenset()}
+        for seq in enumerate_valid_skeletons(tree):
+            states = initial_states(tracker)
+            reachable.add(states)
+            for token in seq:
+                states = advance(tracker, states, token)
+                reachable.add(states)
+        for states in reachable:
+            row, successors = table[states]
+            moves = {token: cost for token, _, cost in uncached_moves(tracker, states)}
+            idle = min((min_completion_tokens(tracker, s) for s in states), default=math.inf)
+            for budget in range(len(full) + 1):
+                want = [
+                    moves.get(token, math.inf) > budget if i in structural else idle > budget
+                    for i, token in enumerate(vocab.tokens)
+                ]
+                assert (row > budget).tolist() == want, (tree, states, budget)
+            # the walk's successors come from the same entry
+            assert set(successors) == structural
+            for i in structural:
+                assert successors[i] == advance(tracker, states, vocab.token(i))
+        if copies is not None:
+            assert max(len(states) for states in reachable) > 1
 
 
 class TestMinCompletionTokens:
@@ -628,8 +678,10 @@ class TestMinCompletionTokens:
         # after opening the second INFORM, the cheapest finish is its bare
         # temp, two closes, and EOS: 5 more tokens.  Eliding it instead
         # lets the JOIN close immediately.
-        generous = valid_structural_tokens(tracker, states, budget=5)
-        tight = valid_structural_tokens(tracker, states, budget=4)
+        # a budget keeps the moves whose cost fits it
+        moves = valid_structural_tokens(tracker, states)
+        generous = {token for token, (_, cost) in moves.items() if cost <= 5}
+        tight = {token for token, (_, cost) in moves.items() if cost <= 4}
         assert "[INFORM" in generous
         assert "[INFORM" not in tight
         assert CLOSE in tight
