@@ -120,23 +120,29 @@ class _StateTable(dict):
     A cost counts the tokens that must still follow a token: the set's
     cheapest completion for a word, the successor's for a move (EOS 0),
     inf for any other structural id, whose successor is the empty set.
-    A word keeps the states.  Filled through valid_structural_tokens.
+    A word keeps the states.  Only the constrained mask reads cost rows,
+    so without `costs` the row is None.  Filled through
+    valid_structural_tokens.
     """
 
-    def __init__(self, tracker: ConstraintTracker, vocab):
+    def __init__(self, tracker: ConstraintTracker, vocab, costs: bool):
         self.tracker = tracker
         self.vocab = vocab
-        self.template = np.zeros(len(vocab))
-        self.template[list(vocab.structural_ids)] = math.inf
+        self.template = None
+        if costs:
+            self.template = np.zeros(len(vocab))
+            self.template[list(vocab.structural_ids)] = math.inf
         self.unmoved = dict.fromkeys(vocab.structural_ids, frozenset())
 
-    def __missing__(self, states: StateSet) -> tuple[np.ndarray, dict[int, StateSet]]:
+    def __missing__(self, states: StateSet) -> tuple[np.ndarray | None, dict[int, StateSet]]:
         moves = valid_structural_tokens(self.tracker, states)
-        row = self.template + completion_cost(self.tracker, states)
+        ids = self.vocab.encode(list(moves))
         successors = dict(self.unmoved)
-        for token_id, (nxt, cost) in zip(self.vocab.encode(list(moves)), moves.values()):
-            row[token_id] = cost
-            successors[token_id] = nxt
+        successors.update(zip(ids, [nxt for nxt, _ in moves.values()]))
+        row = None
+        if self.template is not None:
+            row = self.template + completion_cost(self.tracker, states)
+            row[ids] = [cost for _, cost in moves.values()]
         return self.setdefault(states, (row, successors))
 
 
@@ -160,7 +166,7 @@ def decode(
     constrained = config.mode is DecodeMode.CONSTRAINED
     tracker = build_constraints(tree)
     session = bind(scorer, context)
-    table = _StateTable(tracker, vocab)
+    table = _StateTable(tracker, vocab, constrained)
     size = len(vocab)
 
     # the beam as parallel lists: prefix ids, float64 totals, and each

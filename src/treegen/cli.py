@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import errno
 import json
+import math
 import os
 import sys
 import time
@@ -269,15 +270,19 @@ def _cmd_decode(args: argparse.Namespace) -> tuple[int, Manifest]:
         raise CliError(f"--limit must be >= 0, got {args.limit}")
     if args.jobs < 1:
         raise CliError(f"--jobs must be >= 1, got {args.jobs}")
-    try:
-        config = DecodeConfig(
-            beam_size=args.beam_size,
-            max_length=args.max_length,
-            mode=DecodeMode(args.mode),
-            length_penalty=args.length_penalty,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    # DecodeConfig checks these too, but its messages name fields, not flags
+    if args.beam_size < 1:
+        raise CliError(f"--beam-size must be >= 1, got {args.beam_size}")
+    if args.max_length is not None and args.max_length < 2:
+        raise CliError(f"--max-length must be >= 2, got {args.max_length}")
+    if not math.isfinite(args.length_penalty):
+        raise CliError(f"--length-penalty must be finite, got {args.length_penalty}")
+    config = DecodeConfig(
+        beam_size=args.beam_size,
+        max_length=args.max_length,
+        mode=DecodeMode(args.mode),
+        length_penalty=args.length_penalty,
+    )
     # more workers than cores only adds processes
     workers = min(args.jobs, os.cpu_count() or 1)
     examples = _read(args.corpus, read_corpus)

@@ -23,7 +23,9 @@ is what score masking needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .trees import (
@@ -40,6 +42,10 @@ from .trees import (
 
 ROOT = -1  # sentinel parent id; the MR root (id 0) is its only child
 
+# state sets held across every shape's memo; least recently used shapes
+# are dropped first, and a shape whose memo alone outgrows it is not kept
+MEMO_BOUND = 1024
+
 
 @dataclass(frozen=True)
 class ConstraintTracker:
@@ -49,12 +55,15 @@ class ConstraintTracker:
     parent of the root is the ROOT sentinel.  ellipsis_options[x] is the
     set of nodes whose subtrees are structurally identical to x's (same
     label, values and children recursively; always including x itself),
-    grouped across the whole tree, not only among siblings.  Subtrees
-    occupy contiguous id ranges, recorded in subtree_size.
+    grouped across the whole tree, not only among siblings, and
+    group_mask[x] is that set as a bitmask over node ids.  Subtrees occupy
+    contiguous id ranges, recorded in subtree_size.
 
-    The tracker also memoizes, per state set, that set's structural moves
-    and completion costs (see valid_structural_tokens); the memo lives as
-    long as the tracker, which is one MR and usually one decode.
+    The structural moves and completion costs of each state set (see
+    valid_structural_tokens) are memoized per shape, not per tracker:
+    every tracker whose MR has the same labels, tree and twin groups
+    (shape_key) reads and fills one memo, held in a process-wide LRU
+    bounded by MEMO_BOUND state sets.
     """
 
     nodes: tuple[MrNode, ...]
@@ -62,31 +71,52 @@ class ConstraintTracker:
     children_map: dict[int, tuple[int, ...]]
     children_by_label: dict[tuple[int, str], tuple[int, ...]]
     ellipsis_options: tuple[frozenset[int], ...]
+    group_mask: tuple[int, ...]
     join_nodes: frozenset[int]
     subtree_size: tuple[int, ...]
-    memo: dict[StateSet, _CompiledMoves] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+
+    @property
+    def shape_key(self) -> tuple[tuple[str, int, int], ...]:
+        """(label, parent, smallest twin id) of every node, in id order.
+
+        It fixes everything the automaton reads: children order, JOIN
+        nodes, subtree sizes and twin groups, but not the values.
+        """
+        return tuple(
+            (node.label, self.parent_map[idx], min(self.ellipsis_options[idx]))
+            for idx, node in enumerate(self.nodes)
+        )
+
+    @cached_property
+    def memo(self) -> _ShapeMemo:
+        """This shape's memo: state set -> its compiled moves.
+
+        Looked up, and the shape registered, on first use only, so
+        trackers that never query moves (check_tree, the realizer) leave
+        the registry alone.
+        """
+        return _MEMOS.of(self.shape_key)
 
 
 class AlignmentState(NamedTuple):
     """One way the consumed prefix can align to the MR.
 
     parent: id of the deepest currently-open node (ROOT before the first
-    Open and after the final Close).  coverage: realized node ids.
-    elided: ids committed to ellipsis.  The two sets are disjoint.
+    Open and after the final Close).  coverage: bitmask of realized node
+    ids (bit i set when node i is realized).  elided: bitmask of ids
+    committed to ellipsis.  The two masks are disjoint.
     """
 
     parent: int
-    coverage: frozenset[int]
-    elided: frozenset[int]
+    coverage: int
+    elided: int
 
 
 StateSet = frozenset[AlignmentState]
 
 
 class _CompiledMoves(NamedTuple):
-    """A state set's structural moves, computed once per tracker.
+    """A state set's structural moves, computed once per shape.
 
     idle: fewest tokens, EOS included, that finish some state of the set
     (infinite for the empty set, which never finishes).  moves: each
@@ -97,6 +127,59 @@ class _CompiledMoves(NamedTuple):
 
     idle: int | float
     moves: dict[str, tuple[StateSet, int]]
+
+
+class _ShapeMemo(dict):
+    """One shape's state set -> _CompiledMoves, shared by its trackers."""
+
+    __slots__ = ("kept",)
+
+    def __init__(self):
+        super().__init__()
+        self.kept = True  # still held by the registry
+
+
+class _ShapeMemos:
+    """Process-wide LRU of shape key -> _ShapeMemo.
+
+    Bounded by the state sets held across all shapes, not by the number
+    of shapes, since one shape's memo can hold one set or thousands.  A
+    dropped memo lives on in the trackers that already hold it; the next
+    tracker of its shape starts a new one.
+    """
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.held = 0
+        self.shapes: OrderedDict[tuple, _ShapeMemo] = OrderedDict()
+
+    def of(self, key: tuple) -> _ShapeMemo:
+        memo = self.shapes.get(key)
+        if memo is None:
+            memo = self.shapes[key] = _ShapeMemo()
+        else:
+            self.shapes.move_to_end(key)
+        return memo
+
+    def grew(self, memo: _ShapeMemo) -> None:
+        """Count one more entry of memo; trim when over the bound."""
+        if not memo.kept:
+            return
+        self.held += 1
+        if self.held <= self.bound:
+            return
+        if len(memo) > self.bound:
+            self._drop(next(k for k, m in self.shapes.items() if m is memo))
+        while self.held > self.bound:
+            self._drop(next(iter(self.shapes)))
+
+    def _drop(self, key: tuple) -> None:
+        memo = self.shapes.pop(key)
+        memo.kept = False
+        self.held -= len(memo)
+
+
+_MEMOS = _ShapeMemos(MEMO_BOUND)
 
 
 def _number_nodes(root: MrNode) -> tuple[list[MrNode], list[int], list[int]]:
@@ -144,9 +227,11 @@ def build_constraints(mr: MrTree | MrNode) -> ConstraintTracker:
         key = (node.kind, node.label, node.value, kids)
         class_of[idx] = classes.setdefault(key, len(classes))
     members: list[list[int]] = [[] for _ in classes]
+    masks = [0] * len(classes)
     for idx, cls in enumerate(class_of):
         members[cls].append(idx)
-    groups = [frozenset(ids) for ids in members]
+        masks[cls] |= 1 << idx
+    groups = list(map(frozenset, members))
 
     join_ids = frozenset(
         idx for idx, node in enumerate(nodes) if node.label == "JOIN"
@@ -156,19 +241,20 @@ def build_constraints(mr: MrTree | MrNode) -> ConstraintTracker:
         parent_map=dict(enumerate(parents)),
         children_map={p: tuple(kids) for p, kids in children.items()},
         children_by_label={k: tuple(v) for k, v in by_label.items()},
-        ellipsis_options=tuple(groups[cls] for cls in class_of),
+        ellipsis_options=tuple(map(groups.__getitem__, class_of)),
+        group_mask=tuple(map(masks.__getitem__, class_of)),
         join_nodes=join_ids,
         subtree_size=tuple(sizes),
     )
 
 
 def initial_states(tracker: ConstraintTracker) -> StateSet:
-    return frozenset({AlignmentState(ROOT, frozenset(), frozenset())})
+    return frozenset({AlignmentState(ROOT, 0, 0)})
 
 
 def _commit(
-    tracker: ConstraintTracker, elided: frozenset[int], skipped: list[int]
-) -> frozenset[int] | None:
+    tracker: ConstraintTracker, elided: int, skipped: list[int]
+) -> int | None:
     """Commit `skipped` to ellipsis; None if some group would be exhausted.
 
     A node can only be elided while a structurally identical twin remains
@@ -177,9 +263,12 @@ def _commit(
     """
     if not skipped:
         return elided
-    batch = elided.union(skipped)
+    batch = elided
     for node_id in skipped:
-        if tracker.ellipsis_options[node_id].issubset(batch):
+        batch |= 1 << node_id
+    for node_id in skipped:
+        group = tracker.group_mask[node_id]
+        if group & batch == group:
             return None
     return batch
 
@@ -190,7 +279,7 @@ def advance(
     """One automaton step; returns the surviving states (possibly empty)."""
     if token == EOS:
         return frozenset(
-            s for s in states if s.parent == ROOT and 0 in s.coverage
+            s for s in states if s.parent == ROOT and s.coverage & 1
         )
 
     if token == CLOSE:
@@ -199,10 +288,9 @@ def advance(
             if state.parent == ROOT:
                 continue
             up = tracker.parent_map[state.parent]
+            done = state.coverage | state.elided
             missing = [
-                c
-                for c in tracker.children_map[state.parent]
-                if c not in state.coverage and c not in state.elided
+                c for c in tracker.children_map[state.parent] if not done >> c & 1
             ]
             elided = _commit(tracker, state.elided, missing)
             if elided is None:
@@ -214,8 +302,9 @@ def advance(
         label = open_label(token)
         survivors = set()
         for state in states:
+            done = state.coverage | state.elided
             for cand in tracker.children_by_label.get((state.parent, label), ()):
-                if cand in state.coverage or cand in state.elided:
+                if done >> cand & 1:
                     continue
                 elided = state.elided
                 if state.parent in tracker.join_nodes:
@@ -224,18 +313,14 @@ def advance(
                     # JOIN children appear in MR order: nothing after the
                     # candidate may be realized yet, and everything skipped
                     # before it must be elidable.
-                    if any(c in state.coverage for c in siblings[pos + 1 :]):
+                    if any(state.coverage >> c & 1 for c in siblings[pos + 1 :]):
                         continue
-                    skipped = [
-                        c
-                        for c in siblings[:pos]
-                        if c not in state.coverage and c not in state.elided
-                    ]
+                    skipped = [c for c in siblings[:pos] if not done >> c & 1]
                     elided = _commit(tracker, state.elided, skipped)
                     if elided is None:
                         continue
                 survivors.add(
-                    AlignmentState(cand, state.coverage | {cand}, elided)
+                    AlignmentState(cand, state.coverage | 1 << cand, elided)
                 )
         return frozenset(survivors)
 
@@ -253,14 +338,15 @@ def min_completion_tokens(tracker: ConstraintTracker, state: AlignmentState) -> 
     make a completion shorter, so a hypothesis fits a token budget
     whenever this bound does.
     """
-    if state.parent == ROOT and 0 not in state.coverage:
+    if state.parent == ROOT and not state.coverage & 1:
         return 1 + 2 * tracker.subtree_size[0]
     total = 1  # EOS
+    done = state.coverage | state.elided
     node = state.parent
     while node != ROOT:
         total += 1  # its Close
         for child in tracker.children_map[node]:
-            if child not in state.coverage and child not in state.elided:
+            if not done >> child & 1:
                 total += 2 * tracker.subtree_size[child]
         node = tracker.parent_map[node]
     return total
@@ -271,21 +357,22 @@ def _cheapest(tracker: ConstraintTracker, states: StateSet) -> int | float:
 
 
 def _compiled_moves(tracker: ConstraintTracker, states: StateSet) -> _CompiledMoves:
-    """The state set's moves and costs, from the tracker's memo.
+    """The state set's moves and costs, from its shape's memo.
 
     The entry is keyed by the state set alone and filled on first use by
     stepping every candidate Open, Close and EOS with advance.  Successor
     sets are the memo's own objects, so a beam that follows them hits the
     memo by identity on the next step.
     """
-    entry = tracker.memo.get(states)
+    memo = tracker.memo
+    entry = memo.get(states)
     if entry is not None:
         return entry
     labels = {
         tracker.nodes[c].label
         for s in states
         for c in tracker.children_map[s.parent]
-        if c not in s.coverage and c not in s.elided
+        if not (s.coverage | s.elided) >> c & 1
     }
     moves = {}
     for tok in [open_token(label) for label in labels] + [CLOSE]:
@@ -296,7 +383,8 @@ def _compiled_moves(tracker: ConstraintTracker, states: StateSet) -> _CompiledMo
     if finished:
         moves[EOS] = (finished, 0)
     entry = _CompiledMoves(_cheapest(tracker, states), moves)
-    tracker.memo[states] = entry
+    memo[states] = entry
+    _MEMOS.grew(memo)
     return entry
 
 
@@ -315,7 +403,7 @@ def valid_structural_tokens(
     so a caller that takes the move needs no second step, and a caller
     with a budget of tokens left keeps the moves whose cost fits it.
     Surface words are always acceptable, leave the states unchanged, and
-    are not listed.  Read from the tracker's memo.
+    are not listed.  Read from the memo of the tracker's shape.
     """
     return dict(_compiled_moves(tracker, states).moves)
 

@@ -394,6 +394,30 @@ class TestBuildOnce:
             assert len(reads) == len(set(reads))
 
     @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    def test_cost_rows_only_in_constrained_mode(self, mode, monkeypatch):
+        # only the constrained mask reads cost rows, so the other modes
+        # build none; the successors are the same either way
+        tables = []
+        table_class = treegen.beam._StateTable
+
+        class Recording(table_class):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+        monkeypatch.setattr(treegen.beam, "_StateTable", Recording)
+        for mr in (TestTrainedDecode().build()[0], repeated_join(3)):
+            scorer = WordedStructuralScorer(vocab_for(mr, ["w"]))
+            decode(mr, scorer, DecodeConfig(beam_size=10, mode=mode))
+        assert len(tables) == 2
+        for table in tables:
+            assert table
+            full = table_class(table.tracker, table.vocab, True)
+            for states, (row, successors) in table.items():
+                assert (row is None) == (mode is not DecodeMode.CONSTRAINED)
+                assert successors == full[states][1]
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
     @pytest.mark.parametrize("cut", [0, 1], ids=["whole", "unclosed"])
     def test_partial_verdict_comes_from_its_walk(self, mode, cut):
         # the script is the MR's linearization, whole or short of its last
@@ -706,9 +730,9 @@ class TiedScorer:
         return row.copy()
 
 
-def repeated_join(k):
+def repeated_join(k, value="20"):
     act = MrNode(
-        NodeKind.ACT, "INFORM", (MrNode(NodeKind.ARGUMENT, "temp", (), "20"),)
+        NodeKind.ACT, "INFORM", (MrNode(NodeKind.ARGUMENT, "temp", (), value),)
     )
     return MrTree(MrNode(NodeKind.RELATION, "JOIN", (act,) * k))
 
@@ -781,6 +805,36 @@ class TestArrayBeamMatchesReference:
             config = DecodeConfig(beam_size=3, max_length=max_length, mode=mode)
             assert_same_as_reference(mr, OneWordScorer(vocab, "be"), config)
             assert_same_as_reference(mr, TiedScorer(vocab, 1, 1, 1.0, 0.0), config)
+
+
+class TestSharedMemoDecode:
+    """Decodes read one memo per MR shape; what it holds changes no output."""
+
+    @pytest.mark.parametrize("bound", [treegen.constraints.MEMO_BOUND, 16])
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    def test_warm_equals_cold(self, mode, bound, monkeypatch):
+        model, mrs = trained_pairs()
+        # repeated shapes: the same JOIN twice, and with other values; the
+        # last MR has the JOINs' labels and tree but no twins
+        mrs = mrs[:20] + [repeated_join(k, value) for k in (2, 3) for value in ("20", "21")]
+        mrs.append(parse_mr("[JOIN [INFORM [temp 20 ] ] [INFORM [temp 21 ] ] ]", ONT))
+        config = DecodeConfig(beam_size=10, mode=mode)
+        cold, compiled = [], 0
+        for mr in mrs:
+            fresh = treegen.constraints._ShapeMemos(bound)
+            monkeypatch.setattr(treegen.constraints, "_MEMOS", fresh)
+            cold.append(outcome(mr, model, config, decode))
+            compiled += fresh.held
+        # one registry warmed across every decode; a bound of 16 state
+        # sets also drops memos while their decodes still fill them
+        memos = treegen.constraints._ShapeMemos(bound)
+        monkeypatch.setattr(treegen.constraints, "_MEMOS", memos)
+        warm = [outcome(mr, model, config, decode) for mr in mrs]
+        assert repr(warm) == repr(cold)
+        assert memos.shapes and memos.held <= bound
+        if bound == treegen.constraints.MEMO_BOUND:
+            # nothing dropped, so repeated shapes were compiled once
+            assert memos.held < compiled
 
 
 class TestTopK:

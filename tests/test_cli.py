@@ -425,10 +425,10 @@ class TestDecodePipeline:
             ("--limit", -1, "--limit must be >= 0, got -1"),
             ("--jobs", 0, "--jobs must be >= 1, got 0"),
             ("--jobs", -3, "--jobs must be >= 1, got -3"),
-            ("--length-penalty", "nan", "length_penalty must be finite"),
-            ("--length-penalty", "inf", "length_penalty must be finite"),
-            ("--beam-size", 0, "beam_size must be >= 1"),
-            ("--max-length", 1, "max_length must be >= 2"),
+            ("--length-penalty", "nan", "--length-penalty must be finite, got nan"),
+            ("--length-penalty", "inf", "--length-penalty must be finite, got inf"),
+            ("--beam-size", 0, "--beam-size must be >= 1, got 0"),
+            ("--max-length", 1, "--max-length must be >= 2, got 1"),
         ],
     )
     def test_out_of_range_option_is_a_usage_error(

@@ -2,10 +2,12 @@
 
 import math
 import random
+from contextlib import contextmanager
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treegen import constraints
 from treegen.beam import _StateTable
 from treegen.constraints import (
     ROOT,
@@ -504,7 +506,7 @@ class TestMaskScores:
         # the budget leaves
         budget = rng.randrange(len(base) - cut + 2)
         vocab = Vocabulary.from_tokens(candidates)
-        row, successors = _StateTable(tracker, vocab)[states]
+        row, successors = _StateTable(tracker, vocab, costs=True)[states]
         kept = {vocab.token(i): successors[i] for i in vocab.structural_ids if row[i] <= budget}
         assert set(kept) <= set(moves)
         for token, successors in kept.items():
@@ -575,15 +577,22 @@ class TestCompiledMoves:
             assert max(len(states) for states in walked.values()) > 1
 
     def test_memo_lives_on_the_tracker(self):
-        tracker = build_constraints(TWO_ACT_MR)
-        states = feed(tracker, ["[JOIN"])
-        first = valid_structural_tokens(tracker, states)
-        assert states in tracker.memo
-        # the same successor objects come back on every read
-        again = valid_structural_tokens(tracker, states)
-        assert again == first
-        assert all(again[token][0] is first[token][0] for token in again)
-        assert not build_constraints(TWO_ACT_MR).memo
+        with fresh_memos():
+            tracker = build_constraints(TWO_ACT_MR)
+            states = feed(tracker, ["[JOIN"])
+            first = valid_structural_tokens(tracker, states)
+            assert states in tracker.memo
+            # the same successor objects come back on every read
+            again = valid_structural_tokens(tracker, states)
+            assert again == first
+            assert all(again[token][0] is first[token][0] for token in again)
+            # a fresh tracker of the same shape reads the first one's
+            # entries by identity; one of another shape reads none
+            fresh = valid_structural_tokens(build_constraints(TWO_ACT_MR), states)
+            assert all(fresh[token][0] is first[token][0] for token in fresh)
+            other = build_constraints(parse_mr("[JOIN [INFORM [A ] ] ]", SCHEMA))
+            assert other.shape_key != tracker.shape_key
+            assert not other.memo
 
 
 class TestCostRows:
@@ -601,7 +610,7 @@ class TestCostRows:
         full = linearize(tree)
         vocab = Vocabulary.from_tokens(full + ["[JUSTIFY", "someword"])
         structural = set(vocab.structural_ids)
-        table = _StateTable(tracker, vocab)
+        table = _StateTable(tracker, vocab, costs=True)
         # every reachable state set, and the empty set off the automaton
         reachable = {frozenset()}
         for seq in enumerate_valid_skeletons(tree):
@@ -686,3 +695,129 @@ class TestMinCompletionTokens:
         assert "[INFORM" not in tight
         assert CLOSE in tight
 
+
+@contextmanager
+def fresh_memos(bound=10**9):
+    """Swap in an empty shape registry with this bound, then restore."""
+    saved = constraints._MEMOS
+    constraints._MEMOS = constraints._ShapeMemos(bound)
+    try:
+        yield constraints._MEMOS
+    finally:
+        constraints._MEMOS = saved
+
+
+def rename_values(node, rename):
+    """The same tree with every value v replaced by rename[v]."""
+    return MrNode(
+        node.kind,
+        node.label,
+        tuple(rename_values(child, rename) for child in node.children),
+        None if node.value is None else rename[node.value],
+    )
+
+
+def reachable_state_sets(tracker, tree):
+    """Every state set some prefix of an accepted skeleton leads to."""
+    reachable = set()
+    for seq in enumerate_valid_skeletons(tree):
+        states = initial_states(tracker)
+        reachable.add(states)
+        for token in seq:
+            states = advance(tracker, states, token)
+            reachable.add(states)
+    return reachable
+
+
+def held_counts(memos):
+    """The registry's own count, and the entries its memos really hold."""
+    return memos.held, sum(len(memo) for memo in memos.shapes.values())
+
+
+class TestSharedMemo:
+    """One memo per MR shape, shared by every tracker of that shape."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([None, 2, 3, 4, 5]))
+    def test_same_shape_other_values_reads_equal_advance(self, seed, copies):
+        rng = random.Random(seed)
+        if copies is None:
+            tree = random_mr(rng, SCHEMA, max_nodes=7, value_pool=("v1", "v2"))
+        else:
+            tree = join_of_twins(rng, copies)
+        # an injective renaming keeps the twin pattern, so the shape
+        renamed = MrTree(rename_values(tree.root, {"v": "w", "v1": "x2", "v2": "x1"}))
+        with fresh_memos():
+            first = build_constraints(tree)
+            for states in reachable_state_sets(first, tree):
+                valid_structural_tokens(first, states)
+            second = build_constraints(renamed)
+            assert second.shape_key == first.shape_key
+            for states in reachable_state_sets(second, renamed):
+                assert states in second.memo  # filled by the first tracker
+                want = {
+                    token: (successors, cost)
+                    for token, successors, cost in uncached_moves(second, states)
+                }
+                assert valid_structural_tokens(second, states) == want, (renamed, states)
+                idle = min(min_completion_tokens(second, s) for s in states)
+                assert completion_cost(second, states) == idle
+            assert second.memo is first.memo
+
+    def test_other_twin_pattern_shares_nothing(self):
+        twins = parse_mr("[JOIN [INFORM [temp 20 ] ] [INFORM [temp 20 ] ] ]", WEATHER)
+        apart = parse_mr("[JOIN [INFORM [temp 20 ] ] [INFORM [temp 21 ] ] ]", WEATHER)
+        with fresh_memos() as memos:
+            first = build_constraints(twins)
+            for states in reachable_state_sets(first, twins):
+                valid_structural_tokens(first, states)
+            second = build_constraints(apart)
+            assert second.shape_key != first.shape_key
+            assert not second.memo and second.memo is not first.memo
+            assert len(memos.shapes) == 2
+            # twins may elide one act; distinct acts must both be realized
+            for states in reachable_state_sets(second, apart):
+                want = {
+                    token: (successors, cost)
+                    for token, successors, cost in uncached_moves(second, states)
+                }
+                assert valid_structural_tokens(second, states) == want
+
+    def test_bound_holds_across_shapes(self):
+        # memos of 7, 21, 49 and 5 state sets against a bound of 60
+        texts = ["[JOIN " + "[INFORM [temp 20 ] ] " * copies + "]" for copies in (1, 2, 3)]
+        texts.append("[INFORM [temp 20 ] ]")
+        with fresh_memos(bound=60) as memos:
+            keys = []
+            for text in texts:
+                tree = parse_mr(text, WEATHER)
+                tracker = build_constraints(tree)
+                keys.append(tracker.shape_key)
+                for states in reachable_state_sets(tracker, tree):
+                    valid_structural_tokens(tracker, states)
+                    held, counted = held_counts(memos)
+                    assert held == counted <= 60
+            # the least recently used shapes went first
+            assert list(memos.shapes) == [keys[2], keys[3]]
+
+    def test_oversize_memo_is_not_kept(self):
+        tree = parse_mr("[JOIN " + "[INFORM [temp 20 ] ] " * 4 + "]", WEATHER)
+        small = parse_mr("[INFORM [temp 20 ] ]", WEATHER)
+        with fresh_memos(bound=8) as memos:
+            tracker = build_constraints(tree)
+            reachable = reachable_state_sets(tracker, tree)
+            assert len(reachable) > 8
+            for states in reachable:
+                valid_structural_tokens(tracker, states)
+            # the tracker keeps its whole memo while it lives, but the
+            # registry let go of it
+            assert len(tracker.memo) == len(reachable)
+            assert not tracker.memo.kept
+            assert not memos.shapes and held_counts(memos) == (0, 0)
+            # a shape that fits is kept
+            kept = build_constraints(small)
+            valid_structural_tokens(kept, initial_states(kept))
+            assert list(memos.shapes) == [kept.shape_key]
+            assert held_counts(memos) == (1, 1)
+            # the next tracker of the big shape starts a new memo
+            assert not build_constraints(tree).memo
