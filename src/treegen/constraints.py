@@ -42,8 +42,8 @@ from .trees import (
 
 ROOT = -1  # sentinel parent id; the MR root (id 0) is its only child
 
-# state sets held across every shape's memo; least recently used shapes
-# are dropped first, and a shape whose memo alone outgrows it is not kept
+# (shape, state set) entries held by the move memo; the least recently
+# used entry is dropped first
 MEMO_BOUND = 1024
 
 
@@ -62,8 +62,8 @@ class ConstraintTracker:
     The structural moves and completion costs of each state set (see
     valid_structural_tokens) are memoized per shape, not per tracker:
     every tracker whose MR has the same labels, tree and twin groups
-    (shape_key) reads and fills one memo, held in a process-wide LRU
-    bounded by MEMO_BOUND state sets.
+    (shape_key) reads and fills the same entries of one process-wide LRU
+    of at most MEMO_BOUND (shape, state set) entries.
     """
 
     nodes: tuple[MrNode, ...]
@@ -75,27 +75,23 @@ class ConstraintTracker:
     join_nodes: frozenset[int]
     subtree_size: tuple[int, ...]
 
-    @property
-    def shape_key(self) -> tuple[tuple[str, int, int], ...]:
+    @cached_property
+    def shape_key(self) -> str:
         """(label, parent, smallest twin id) of every node, in id order.
 
         It fixes everything the automaton reads: children order, JOIN
-        nodes, subtree sizes and twin groups, but not the values.
+        nodes, subtree sizes and twin groups, but not the values.  Built
+        on first use, so trackers that never query moves (check_tree, the
+        realizer) skip it, and kept as a string, whose hash is computed
+        once where a tuple's would be recomputed from every node on each
+        memo lookup.
         """
-        return tuple(
-            (node.label, self.parent_map[idx], min(self.ellipsis_options[idx]))
-            for idx, node in enumerate(self.nodes)
+        return repr(
+            tuple(
+                (node.label, self.parent_map[idx], min(self.ellipsis_options[idx]))
+                for idx, node in enumerate(self.nodes)
+            )
         )
-
-    @cached_property
-    def memo(self) -> _ShapeMemo:
-        """This shape's memo: state set -> its compiled moves.
-
-        Looked up, and the shape registered, on first use only, so
-        trackers that never query moves (check_tree, the realizer) leave
-        the registry alone.
-        """
-        return _MEMOS.of(self.shape_key)
 
 
 class AlignmentState(NamedTuple):
@@ -129,57 +125,8 @@ class _CompiledMoves(NamedTuple):
     moves: dict[str, tuple[StateSet, int]]
 
 
-class _ShapeMemo(dict):
-    """One shape's state set -> _CompiledMoves, shared by its trackers."""
-
-    __slots__ = ("kept",)
-
-    def __init__(self):
-        super().__init__()
-        self.kept = True  # still held by the registry
-
-
-class _ShapeMemos:
-    """Process-wide LRU of shape key -> _ShapeMemo.
-
-    Bounded by the state sets held across all shapes, not by the number
-    of shapes, since one shape's memo can hold one set or thousands.  A
-    dropped memo lives on in the trackers that already hold it; the next
-    tracker of its shape starts a new one.
-    """
-
-    def __init__(self, bound: int):
-        self.bound = bound
-        self.held = 0
-        self.shapes: OrderedDict[tuple, _ShapeMemo] = OrderedDict()
-
-    def of(self, key: tuple) -> _ShapeMemo:
-        memo = self.shapes.get(key)
-        if memo is None:
-            memo = self.shapes[key] = _ShapeMemo()
-        else:
-            self.shapes.move_to_end(key)
-        return memo
-
-    def grew(self, memo: _ShapeMemo) -> None:
-        """Count one more entry of memo; trim when over the bound."""
-        if not memo.kept:
-            return
-        self.held += 1
-        if self.held <= self.bound:
-            return
-        if len(memo) > self.bound:
-            self._drop(next(k for k, m in self.shapes.items() if m is memo))
-        while self.held > self.bound:
-            self._drop(next(iter(self.shapes)))
-
-    def _drop(self, key: tuple) -> None:
-        memo = self.shapes.pop(key)
-        memo.kept = False
-        self.held -= len(memo)
-
-
-_MEMOS = _ShapeMemos(MEMO_BOUND)
+# (shape_key, state set) -> its compiled moves, least recently used first
+_MEMO: OrderedDict[tuple[str, StateSet], _CompiledMoves] = OrderedDict()
 
 
 def _number_nodes(root: MrNode) -> tuple[list[MrNode], list[int], list[int]]:
@@ -357,16 +304,18 @@ def _cheapest(tracker: ConstraintTracker, states: StateSet) -> int | float:
 
 
 def _compiled_moves(tracker: ConstraintTracker, states: StateSet) -> _CompiledMoves:
-    """The state set's moves and costs, from its shape's memo.
+    """The state set's moves and costs, from the memo of compiled moves.
 
-    The entry is keyed by the state set alone and filled on first use by
-    stepping every candidate Open, Close and EOS with advance.  Successor
-    sets are the memo's own objects, so a beam that follows them hits the
-    memo by identity on the next step.
+    The entry is keyed by the tracker's shape and the state set and filled
+    on first use by stepping every candidate Open, Close and EOS with
+    advance; past MEMO_BOUND entries the least recently used one is
+    dropped.  Successor sets are the entry's own objects, so a beam that
+    follows them hits the memo by identity on the next step.
     """
-    memo = tracker.memo
-    entry = memo.get(states)
+    key = (tracker.shape_key, states)
+    entry = _MEMO.get(key)
     if entry is not None:
+        _MEMO.move_to_end(key)
         return entry
     labels = {
         tracker.nodes[c].label
@@ -382,9 +331,9 @@ def _compiled_moves(tracker: ConstraintTracker, states: StateSet) -> _CompiledMo
     finished = advance(tracker, states, EOS)
     if finished:
         moves[EOS] = (finished, 0)
-    entry = _CompiledMoves(_cheapest(tracker, states), moves)
-    memo[states] = entry
-    _MEMOS.grew(memo)
+    entry = _MEMO[key] = _CompiledMoves(_cheapest(tracker, states), moves)
+    if len(_MEMO) > MEMO_BOUND:
+        _MEMO.popitem(last=False)
     return entry
 
 
@@ -403,7 +352,8 @@ def valid_structural_tokens(
     so a caller that takes the move needs no second step, and a caller
     with a budget of tokens left keeps the moves whose cost fits it.
     Surface words are always acceptable, leave the states unchanged, and
-    are not listed.  Read from the memo of the tracker's shape.
+    are not listed.  Read from the memo of compiled moves, keyed by the
+    tracker's shape and the state set.
     """
     return dict(_compiled_moves(tracker, states).moves)
 
@@ -421,8 +371,9 @@ def check_tree(
     """True iff the output's bracket skeleton realizes the MR exactly.
 
     Grouping and ellipsis are honoured; an EOS token is appended if the
-    output does not already end with one.  The MR may be given as its
-    prebuilt tracker, which saves building one per check.
+    output does not already end with one, and nothing may follow an EOS.
+    The MR may be given as its prebuilt tracker, which saves building one
+    per check.
     """
     return first_rejection(mr, output) is None
 
@@ -430,11 +381,16 @@ def check_tree(
 def first_rejection(
     mr: MrTree | MrNode | ConstraintTracker, output: str | Sequence[str]
 ) -> int | None:
-    """Index of the first rejected token, or None if fully accepted."""
+    """Index of the first rejected token, or None if fully accepted.
+
+    The first token after an accepted EOS is rejected, whatever it is.
+    """
     tracker = mr if isinstance(mr, ConstraintTracker) else build_constraints(mr)
+    tokens = _tokens_with_eos(output)
+    end = tokens.index(EOS) + 1
     states = initial_states(tracker)
-    for pos, token in enumerate(_tokens_with_eos(output)):
+    for pos, token in enumerate(tokens[:end]):
         states = advance(tracker, states, token)
         if not states:
             return pos
-    return None
+    return end if end < len(tokens) else None

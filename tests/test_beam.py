@@ -10,6 +10,7 @@ import json
 import math
 import random
 import sys
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -808,7 +809,7 @@ class TestArrayBeamMatchesReference:
 
 
 class TestSharedMemoDecode:
-    """Decodes read one memo per MR shape; what it holds changes no output."""
+    """Decodes share one LRU of compiled moves; what it holds changes no output."""
 
     @pytest.mark.parametrize("bound", [treegen.constraints.MEMO_BOUND, 16])
     @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
@@ -819,22 +820,44 @@ class TestSharedMemoDecode:
         mrs = mrs[:20] + [repeated_join(k, value) for k in (2, 3) for value in ("20", "21")]
         mrs.append(parse_mr("[JOIN [INFORM [temp 20 ] ] [INFORM [temp 21 ] ] ]", ONT))
         config = DecodeConfig(beam_size=10, mode=mode)
+        monkeypatch.setattr(treegen.constraints, "MEMO_BOUND", bound)
         cold, compiled = [], 0
         for mr in mrs:
-            fresh = treegen.constraints._ShapeMemos(bound)
-            monkeypatch.setattr(treegen.constraints, "_MEMOS", fresh)
+            fresh = OrderedDict()
+            monkeypatch.setattr(treegen.constraints, "_MEMO", fresh)
             cold.append(outcome(mr, model, config, decode))
-            compiled += fresh.held
-        # one registry warmed across every decode; a bound of 16 state
-        # sets also drops memos while their decodes still fill them
-        memos = treegen.constraints._ShapeMemos(bound)
-        monkeypatch.setattr(treegen.constraints, "_MEMOS", memos)
+            compiled += len(fresh)
+        # one memo warmed across every decode; a bound of 16 entries also
+        # evicts entries while the decodes that compiled them still run
+        memo = OrderedDict()
+        monkeypatch.setattr(treegen.constraints, "_MEMO", memo)
         warm = [outcome(mr, model, config, decode) for mr in mrs]
         assert repr(warm) == repr(cold)
-        assert memos.shapes and memos.held <= bound
+        assert memo and len(memo) <= bound
         if bound == treegen.constraints.MEMO_BOUND:
-            # nothing dropped, so repeated shapes were compiled once
-            assert memos.held < compiled
+            # nothing evicted, so repeated shapes were compiled once
+            assert len(memo) < compiled
+
+    def test_blow_up_decode_never_holds_more_than_the_bound(self, monkeypatch):
+        mr = repeated_join(4)
+        scorer = TiedScorer(vocab_for(mr, ["w1", "w2"]), 7, 8, 0.0, 0.0)
+        memo = OrderedDict()
+        monkeypatch.setattr(treegen.constraints, "_MEMO", memo)
+        monkeypatch.setattr(treegen.constraints, "MEMO_BOUND", 8)
+        held = []
+
+        def counted(tracker, states):
+            moves = treegen.constraints.valid_structural_tokens(tracker, states)
+            held.append(len(memo))
+            return moves
+
+        monkeypatch.setattr(treegen.beam, "valid_structural_tokens", counted)
+        config = DecodeConfig(beam_size=10, mode=DecodeMode.CONSTRAINED)
+        assert decode(mr, scorer, config).candidates
+        # the decode read more state sets than the bound, and the memo
+        # held at most the bound after every read
+        assert len(held) > 8
+        assert max(held) == 8
 
 
 class TestTopK:

@@ -667,6 +667,24 @@ class TestEvaluate:
         report = json.loads(out.read_text())
         assert [e["failure"] for e in report["per_example"]] == [None, "no hypothesis"]
 
+    def test_tokens_after_eos_are_not_tree_valid(self, workdir, tmp_path, capsys):
+        corpus = workdir / "corpus" / "test.jsonl"
+        responses = [r["annotated_response"].split() for r in read_jsonl(corpus)[:4]]
+        tails = [[], ["</s>", "extra", "words"], ["</s>", "</s>"], ["</s>"]]
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(
+            "".join(
+                json.dumps({"index": i, "tokens": tokens + tail, "failure": None}) + "\n"
+                for i, (tokens, tail) in enumerate(zip(responses, tails))
+            )
+        )
+        out = tmp_path / "report.json"
+        code = run("evaluate", "--predictions", preds, "--corpus", corpus, "--out", out)
+        assert code == 0
+        report = json.loads(out.read_text())
+        # one trailing EOS is accepted; anything after it is not
+        assert [e["tree_valid"] for e in report["per_example"]] == [True, False, False, True]
+
     @pytest.mark.parametrize(
         "record, named",
         [

@@ -2,8 +2,10 @@
 
 import math
 import random
+from collections import OrderedDict
 from contextlib import contextmanager
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -218,6 +220,25 @@ class TestAcceptToken:
     def test_empty_output_rejected(self):
         mr = parse_mr("[INFORM ]", SCHEMA)
         assert not check_tree(mr, [])
+
+    @pytest.mark.parametrize(
+        "output, pos",
+        [
+            ("[INFORM [temp 20 ] ]", None),
+            ("[INFORM [temp 20 ] ] </s>", None),
+            ("[INFORM [temp 20 ] ] </s> extra words", 6),
+            ("[INFORM [temp 20 ] ] </s> </s>", 6),
+            ("[INFORM [temp 20 ] ] </s> ]", 6),
+            ("[INFORM [temp 20 ] ] </s> [INFORM [temp 20 ] ]", 6),
+            ("[INFORM </s> [temp 20 ] ]", 1),
+            ("[INFORM [temp 20 ] ] ] </s> extra", 5),
+        ],
+    )
+    def test_nothing_may_follow_eos(self, output, pos):
+        mr = parse_mr("[INFORM [temp 20 ] ]", WEATHER)
+        assert first_rejection(mr, output) == pos
+        assert first_rejection(mr, output.split()) == pos
+        assert check_tree(mr, output) is (pos is None)
 
     def test_state_count_resolves_at_sequence_end(self):
         rng = random.Random(29)
@@ -576,12 +597,12 @@ class TestCompiledMoves:
         if copies is not None:
             assert max(len(states) for states in walked.values()) > 1
 
-    def test_memo_lives_on_the_tracker(self):
-        with fresh_memos():
+    def test_memo_entries_are_shared_by_shape(self):
+        with fresh_memo() as memo:
             tracker = build_constraints(TWO_ACT_MR)
             states = feed(tracker, ["[JOIN"])
             first = valid_structural_tokens(tracker, states)
-            assert states in tracker.memo
+            assert list(memo) == [(tracker.shape_key, states)]
             # the same successor objects come back on every read
             again = valid_structural_tokens(tracker, states)
             assert again == first
@@ -590,9 +611,10 @@ class TestCompiledMoves:
             # entries by identity; one of another shape reads none
             fresh = valid_structural_tokens(build_constraints(TWO_ACT_MR), states)
             assert all(fresh[token][0] is first[token][0] for token in fresh)
+            assert len(memo) == 1
             other = build_constraints(parse_mr("[JOIN [INFORM [A ] ] ]", SCHEMA))
             assert other.shape_key != tracker.shape_key
-            assert not other.memo
+            assert (other.shape_key, states) not in memo
 
 
 class TestCostRows:
@@ -697,14 +719,13 @@ class TestMinCompletionTokens:
 
 
 @contextmanager
-def fresh_memos(bound=10**9):
-    """Swap in an empty shape registry with this bound, then restore."""
-    saved = constraints._MEMOS
-    constraints._MEMOS = constraints._ShapeMemos(bound)
-    try:
-        yield constraints._MEMOS
-    finally:
-        constraints._MEMOS = saved
+def fresh_memo(bound=10**9):
+    """Swap in an empty memo of compiled moves with this bound, then restore."""
+    with pytest.MonkeyPatch.context() as patch:
+        memo = OrderedDict()
+        patch.setattr(constraints, "_MEMO", memo)
+        patch.setattr(constraints, "MEMO_BOUND", bound)
+        yield memo
 
 
 def rename_values(node, rename):
@@ -729,13 +750,13 @@ def reachable_state_sets(tracker, tree):
     return reachable
 
 
-def held_counts(memos):
-    """The registry's own count, and the entries its memos really hold."""
-    return memos.held, sum(len(memo) for memo in memos.shapes.values())
+def shapes_held(memo):
+    """The distinct shapes of the memo's entries, least recently used first."""
+    return list(dict.fromkeys(shape for shape, _ in memo))
 
 
 class TestSharedMemo:
-    """One memo per MR shape, shared by every tracker of that shape."""
+    """One LRU of (shape, state set) entries, shared by every tracker of a shape."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from([None, 2, 3, 4, 5]))
@@ -747,14 +768,16 @@ class TestSharedMemo:
             tree = join_of_twins(rng, copies)
         # an injective renaming keeps the twin pattern, so the shape
         renamed = MrTree(rename_values(tree.root, {"v": "w", "v1": "x2", "v2": "x1"}))
-        with fresh_memos():
+        with fresh_memo() as memo:
             first = build_constraints(tree)
             for states in reachable_state_sets(first, tree):
                 valid_structural_tokens(first, states)
+            filled = dict(memo)
             second = build_constraints(renamed)
             assert second.shape_key == first.shape_key
             for states in reachable_state_sets(second, renamed):
-                assert states in second.memo  # filled by the first tracker
+                key = (second.shape_key, states)
+                assert key in filled  # filled by the first tracker
                 want = {
                     token: (successors, cost)
                     for token, successors, cost in uncached_moves(second, states)
@@ -762,62 +785,87 @@ class TestSharedMemo:
                 assert valid_structural_tokens(second, states) == want, (renamed, states)
                 idle = min(min_completion_tokens(second, s) for s in states)
                 assert completion_cost(second, states) == idle
-            assert second.memo is first.memo
+                assert memo[key] is filled[key]
+            assert len(memo) == len(filled)
 
     def test_other_twin_pattern_shares_nothing(self):
         twins = parse_mr("[JOIN [INFORM [temp 20 ] ] [INFORM [temp 20 ] ] ]", WEATHER)
         apart = parse_mr("[JOIN [INFORM [temp 20 ] ] [INFORM [temp 21 ] ] ]", WEATHER)
-        with fresh_memos() as memos:
+        with fresh_memo() as memo:
             first = build_constraints(twins)
             for states in reachable_state_sets(first, twins):
                 valid_structural_tokens(first, states)
+            filled = len(memo)
             second = build_constraints(apart)
             assert second.shape_key != first.shape_key
-            assert not second.memo and second.memo is not first.memo
-            assert len(memos.shapes) == 2
+            assert shapes_held(memo) == [first.shape_key]
             # twins may elide one act; distinct acts must both be realized
-            for states in reachable_state_sets(second, apart):
+            reachable = reachable_state_sets(second, apart)
+            for states in reachable:
                 want = {
                     token: (successors, cost)
                     for token, successors, cost in uncached_moves(second, states)
                 }
                 assert valid_structural_tokens(second, states) == want
+            assert shapes_held(memo) == [first.shape_key, second.shape_key]
+            assert len(memo) == filled + len(reachable)
 
     def test_bound_holds_across_shapes(self):
-        # memos of 7, 21, 49 and 5 state sets against a bound of 60
+        # shapes of 7, 21, 49 and 5 state sets against a bound of 60
         texts = ["[JOIN " + "[INFORM [temp 20 ] ] " * copies + "]" for copies in (1, 2, 3)]
         texts.append("[INFORM [temp 20 ] ]")
-        with fresh_memos(bound=60) as memos:
-            keys = []
+        with fresh_memo(bound=60) as memo:
+            keys, reads = [], []
             for text in texts:
                 tree = parse_mr(text, WEATHER)
                 tracker = build_constraints(tree)
                 keys.append(tracker.shape_key)
                 for states in reachable_state_sets(tracker, tree):
                     valid_structural_tokens(tracker, states)
-                    held, counted = held_counts(memos)
-                    assert held == counted <= 60
-            # the least recently used shapes went first
-            assert list(memos.shapes) == [keys[2], keys[3]]
+                    reads.append((tracker.shape_key, states))
+                    assert len(memo) <= 60
+            # the least recently used entries went first: all of the first
+            # shape's, most of the second's
+            assert len(reads) == 82
+            assert list(memo) == reads[-60:]
+            assert shapes_held(memo) == keys[1:]
 
     def test_oversize_memo_is_not_kept(self):
         tree = parse_mr("[JOIN " + "[INFORM [temp 20 ] ] " * 4 + "]", WEATHER)
         small = parse_mr("[INFORM [temp 20 ] ]", WEATHER)
-        with fresh_memos(bound=8) as memos:
+        with fresh_memo(bound=8) as memo:
             tracker = build_constraints(tree)
             reachable = reachable_state_sets(tracker, tree)
             assert len(reachable) > 8
+            reads = []
             for states in reachable:
                 valid_structural_tokens(tracker, states)
-            # the tracker keeps its whole memo while it lives, but the
-            # registry let go of it
-            assert len(tracker.memo) == len(reachable)
-            assert not tracker.memo.kept
-            assert not memos.shapes and held_counts(memos) == (0, 0)
-            # a shape that fits is kept
+                reads.append((tracker.shape_key, states))
+            # only the blow-up shape's last 8 reads are held, not its whole set
+            assert list(memo) == reads[-8:]
+            # a shape that fits is kept, and pushes out the oldest entry
             kept = build_constraints(small)
             valid_structural_tokens(kept, initial_states(kept))
-            assert list(memos.shapes) == [kept.shape_key]
-            assert held_counts(memos) == (1, 1)
-            # the next tracker of the big shape starts a new memo
-            assert not build_constraints(tree).memo
+            assert list(memo) == reads[-7:] + [(kept.shape_key, initial_states(kept))]
+            # the next tracker of the big shape compiles its first sets again
+            again = build_constraints(tree)
+            first = reads[0][1]
+            assert (again.shape_key, first) not in memo
+            valid_structural_tokens(again, first)
+            assert list(memo)[-1] == (again.shape_key, first) and len(memo) == 8
+
+    def test_reread_entry_survives_one_off_shapes(self):
+        kept = build_constraints(parse_mr("[INFORM [temp 20 ] ]", WEATHER))
+        idle = build_constraints(parse_mr("[INFORM [humidity 5 ] ]", WEATHER))
+        with fresh_memo(bound=4) as memo:
+            valid_structural_tokens(idle, initial_states(idle))
+            valid_structural_tokens(kept, initial_states(kept))
+            reread = (kept.shape_key, initial_states(kept))
+            # a stream of one-off shapes, each read once between rereads
+            for copies in range(2, 12):
+                text = "[JOIN " + "[INFORM [temp 20 ] ] " * copies + "]"
+                one_off = build_constraints(parse_mr(text, WEATHER))
+                valid_structural_tokens(one_off, initial_states(one_off))
+                valid_structural_tokens(kept, initial_states(kept))
+                assert reread in memo and len(memo) <= 4
+            assert (idle.shape_key, initial_states(idle)) not in memo
