@@ -50,13 +50,14 @@ pos = first_rejection(mr, tokens)
 print(f"  rejected at token {pos}: {tokens[pos]!r}")
 
 print("\nWalking the automaton token by token shows the legal structural")
-print("moves shrink as coverage grows; each move's cost is the fewest")
-print("tokens that must still follow it:")
+print("moves shrink as coverage grows.  One query per state set answers")
+print("both: idle is the fewest tokens that finish the states as they are,")
+print("and each move's cost is the fewest that must still follow it:")
 states = initial_states(tracker)
 for token in GOOD.split()[:8]:
-    moves = valid_structural_tokens(tracker, states)
+    idle, moves = valid_structural_tokens(tracker, states)
     costs = {move: cost for move, (_, cost) in sorted(moves.items())}
-    print(f"  next legal: {costs}")
+    print(f"  idle {idle}, next legal: {costs}")
     print(f"  consume {token!r}")
     states = advance(tracker, states, token)
 print(f"  alignment states alive: {len(states)}")

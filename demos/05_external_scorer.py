@@ -69,10 +69,6 @@ command = [sys.executable, str(server_path), str(model_path)]
 print("server command:", " ".join(command[1:]), "\n")
 
 # First, the frames themselves, by hand.
-proc = subprocess.Popen(
-    command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
-)
-print("handshake: ", proc.stdout.readline().strip())
 vocab = model.vocabulary
 
 
@@ -95,17 +91,21 @@ def show(response):
           f"row 0 = [{rows[0, 0]:.4f}, ...])")
 
 
-# the empty prefix and [it], both sent whole
-show(send({"id": 0, "context": [], "parents": [-1, -1], "tails": [[], vocab.encode(["it"])]}))
-# [it, will] and [it, is] extend prefix 1 of request 0 by one id each
-show(send({"id": 1, "context": [], "parents": [1, 1], "tails": [vocab.encode(["will"]),
-                                                                vocab.encode(["is"])]}))
-# request 1 held two prefixes, so parent 5 is refused; so is a request
-# without parents and tails
-show(send({"id": 2, "context": [], "parents": [5], "tails": [[]]}))
-show(send({"id": 3, "context": []}))
-proc.stdin.close()
-proc.wait()
+# leaving the block closes both pipes and waits for the server to exit
+with subprocess.Popen(
+    command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
+) as proc:
+    print("handshake: ", proc.stdout.readline().strip())
+    # the empty prefix and [it], both sent whole
+    show(send({"id": 0, "context": [], "parents": [-1, -1],
+               "tails": [[], vocab.encode(["it"])]}))
+    # [it, will] and [it, is] extend prefix 1 of request 0 by one id each
+    show(send({"id": 1, "context": [], "parents": [1, 1],
+               "tails": [vocab.encode(["will"]), vocab.encode(["is"])]}))
+    # request 1 held two prefixes, so parent 5 is refused; so is a request
+    # without parents and tails
+    show(send({"id": 2, "context": [], "parents": [5], "tails": [[]]}))
+    show(send({"id": 3, "context": []}))
 print()
 
 # Now the adapter, which does the same bookkeeping and feeds the beam:

@@ -28,7 +28,6 @@ from .constraints import (
     ConstraintTracker,
     StateSet,
     build_constraints,
-    completion_cost,
     initial_states,
     valid_structural_tokens,
 )
@@ -121,8 +120,9 @@ class _StateTable(dict):
     cheapest completion for a word, the successor's for a move (EOS 0),
     inf for any other structural id, whose successor is the empty set.
     A word keeps the states.  Only the constrained mask reads cost rows,
-    so without `costs` the row is None.  Filled through
-    valid_structural_tokens.
+    so without `costs` the row is None.  Each fill makes one
+    valid_structural_tokens query and unpacks the entry it returns: the
+    set's cheapest completion (idle) and its moves.
     """
 
     def __init__(self, tracker: ConstraintTracker, vocab, costs: bool):
@@ -135,13 +135,13 @@ class _StateTable(dict):
         self.unmoved = dict.fromkeys(vocab.structural_ids, frozenset())
 
     def __missing__(self, states: StateSet) -> tuple[np.ndarray | None, dict[int, StateSet]]:
-        moves = valid_structural_tokens(self.tracker, states)
+        idle, moves = valid_structural_tokens(self.tracker, states)
         ids = self.vocab.encode(list(moves))
         successors = dict(self.unmoved)
         successors.update(zip(ids, [nxt for nxt, _ in moves.values()]))
         row = None
         if self.template is not None:
-            row = self.template + completion_cost(self.tracker, states)
+            row = self.template + idle
             row[ids] = [cost for _, cost in moves.values()]
         return self.setdefault(states, (row, successors))
 

@@ -26,7 +26,8 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from .trees import (
     CLOSE,
@@ -59,11 +60,11 @@ class ConstraintTracker:
     group_mask[x] is that set as a bitmask over node ids.  Subtrees occupy
     contiguous id ranges, recorded in subtree_size.
 
-    The structural moves and completion costs of each state set (see
-    valid_structural_tokens) are memoized per shape, not per tracker:
-    every tracker whose MR has the same labels, tree and twin groups
-    (shape_key) reads and fills the same entries of one process-wide LRU
-    of at most MEMO_BOUND (shape, state set) entries.
+    valid_structural_tokens answers each state set with one compiled
+    entry, its completion cost and its moves, memoized per shape, not per
+    tracker: every tracker whose MR has the same labels, tree and twin
+    groups (shape_key) reads and fills the same entries of one
+    process-wide LRU of at most MEMO_BOUND (shape, state set) entries.
     """
 
     nodes: tuple[MrNode, ...]
@@ -112,17 +113,10 @@ StateSet = frozenset[AlignmentState]
 
 
 class _CompiledMoves(NamedTuple):
-    """A state set's structural moves, computed once per shape.
-
-    idle: fewest tokens, EOS included, that finish some state of the set
-    (infinite for the empty set, which never finishes).  moves: each
-    acceptable Open/Close/EOS token -> the state set it leads to and that
-    set's own cheapest completion; EOS needs nothing after it, so its cost
-    is 0.
-    """
+    """One state set's answer from valid_structural_tokens."""
 
     idle: int | float
-    moves: dict[str, tuple[StateSet, int]]
+    moves: Mapping[str, tuple[StateSet, int]]
 
 
 # (shape_key, state set) -> its compiled moves, least recently used first
@@ -303,14 +297,26 @@ def _cheapest(tracker: ConstraintTracker, states: StateSet) -> int | float:
     return min((min_completion_tokens(tracker, s) for s in states), default=math.inf)
 
 
-def _compiled_moves(tracker: ConstraintTracker, states: StateSet) -> _CompiledMoves:
-    """The state set's moves and costs, from the memo of compiled moves.
+def valid_structural_tokens(
+    tracker: ConstraintTracker, states: StateSet
+) -> _CompiledMoves:
+    """The state set's compiled entry (idle, moves), read from the memo.
+
+    idle: the fewest tokens, EOS included, that finish some state of the
+    set (infinite for the empty set, which never finishes).  moves: a
+    read-only map of each acceptable Open/Close/EOS token to the state
+    set it leads to and that set's cheapest completion (0 for EOS, which
+    needs nothing after it), so a caller that takes the move needs no
+    second step, and a caller with a budget of tokens left keeps the moves
+    whose cost fits it.  Surface words are always acceptable, leave the
+    states unchanged, and are not listed.
 
     The entry is keyed by the tracker's shape and the state set and filled
     on first use by stepping every candidate Open, Close and EOS with
     advance; past MEMO_BOUND entries the least recently used one is
-    dropped.  Successor sets are the entry's own objects, so a beam that
-    follows them hits the memo by identity on the next step.
+    dropped.  Every query returns the memo's own entry, whose moves are a
+    read-only view, and its successor sets are the memo's own objects, so
+    a beam that follows them hits the memo by identity on the next step.
     """
     key = (tracker.shape_key, states)
     entry = _MEMO.get(key)
@@ -331,31 +337,12 @@ def _compiled_moves(tracker: ConstraintTracker, states: StateSet) -> _CompiledMo
     finished = advance(tracker, states, EOS)
     if finished:
         moves[EOS] = (finished, 0)
-    entry = _MEMO[key] = _CompiledMoves(_cheapest(tracker, states), moves)
+    entry = _MEMO[key] = _CompiledMoves(
+        _cheapest(tracker, states), MappingProxyType(moves)
+    )
     if len(_MEMO) > MEMO_BOUND:
         _MEMO.popitem(last=False)
     return entry
-
-
-def completion_cost(tracker: ConstraintTracker, states: StateSet) -> int | float:
-    """Fewest tokens, EOS included, that finish some state of the set."""
-    return _compiled_moves(tracker, states).idle
-
-
-def valid_structural_tokens(
-    tracker: ConstraintTracker, states: StateSet
-) -> dict[str, tuple[StateSet, int]]:
-    """The Open/Close/EOS tokens acceptable from this state set.
-
-    Maps each acceptable token to the state set it leads to and that
-    set's cheapest completion (0 for EOS, which needs nothing after it),
-    so a caller that takes the move needs no second step, and a caller
-    with a budget of tokens left keeps the moves whose cost fits it.
-    Surface words are always acceptable, leave the states unchanged, and
-    are not listed.  Read from the memo of compiled moves, keyed by the
-    tracker's shape and the state set.
-    """
-    return dict(_compiled_moves(tracker, states).moves)
 
 
 def _tokens_with_eos(output: str | Sequence[str]) -> list[str]:
@@ -365,27 +352,21 @@ def _tokens_with_eos(output: str | Sequence[str]) -> list[str]:
     return tokens
 
 
-def check_tree(
-    mr: MrTree | MrNode | ConstraintTracker, output: str | Sequence[str]
-) -> bool:
+def check_tree(mr: MrTree | MrNode, output: str | Sequence[str]) -> bool:
     """True iff the output's bracket skeleton realizes the MR exactly.
 
     Grouping and ellipsis are honoured; an EOS token is appended if the
     output does not already end with one, and nothing may follow an EOS.
-    The MR may be given as its prebuilt tracker, which saves building one
-    per check.
     """
     return first_rejection(mr, output) is None
 
 
-def first_rejection(
-    mr: MrTree | MrNode | ConstraintTracker, output: str | Sequence[str]
-) -> int | None:
+def first_rejection(mr: MrTree | MrNode, output: str | Sequence[str]) -> int | None:
     """Index of the first rejected token, or None if fully accepted.
 
     The first token after an accepted EOS is rejected, whatever it is.
     """
-    tracker = mr if isinstance(mr, ConstraintTracker) else build_constraints(mr)
+    tracker = build_constraints(mr)
     tokens = _tokens_with_eos(output)
     end = tokens.index(EOS) + 1
     states = initial_states(tracker)

@@ -24,7 +24,7 @@ import select
 import subprocess
 import time
 from collections.abc import Iterable, Sequence
-from typing import IO, Protocol, runtime_checkable
+from typing import IO, Protocol
 
 import numpy as np
 
@@ -44,8 +44,7 @@ _MODEL_FIELDS = {
     "signatures": dict,
 }
 
-# Probability mass must sum to 1 within these tolerances.
-BUILTIN_SUM_TOLERANCE = 1e-9
+# An external scorer's probability mass must sum to 1 within this tolerance.
 EXTERNAL_SUM_TOLERANCE = 1e-6
 
 # The one wire-protocol version spoken, stated in the handshake.
@@ -74,7 +73,6 @@ class ProtocolViolation(RuntimeError):
     """The external scorer sent a frame that breaks the wire contract."""
 
 
-@runtime_checkable
 class Scorer(Protocol):
     vocabulary: Vocabulary
 

@@ -26,7 +26,6 @@ from treegen.beam import Candidate, DecodeConfig, DecodeMode, DecodeResult, Deco
 from treegen.constraints import (
     build_constraints,
     check_tree,
-    completion_cost,
     initial_states,
     valid_structural_tokens,
 )
@@ -297,13 +296,14 @@ def ref_beam_decode(mr: MrTree | MrNode, scorer, config: DecodeConfig) -> Decode
             successors = {}
             if constrained:
                 budget = max_length - len(ids) - 1
+                idle, structural_moves = valid_structural_tokens(tracker, states)
                 successors = {
                     token_ids[token]: nxt
-                    for token, (nxt, cost) in valid_structural_tokens(tracker, states).items()
+                    for token, (nxt, cost) in structural_moves.items()
                     if cost <= budget
                 }
                 allowed = list(successors)
-                if completion_cost(tracker, states) > budget:
+                if idle > budget:
                     masked = np.full(size, -np.inf)
                 else:
                     masked = vec.copy()
@@ -330,7 +330,7 @@ def ref_beam_decode(mr: MrTree | MrNode, scorer, config: DecodeConfig) -> Decode
     if not finished:
         ids, score, _ = max(live or last_live, key=lambda h: h[1])
         tokens = tuple(vocab.decode(ids))
-        partial = Candidate(tokens, score, check_tree(tracker, tokens))
+        partial = Candidate(tokens, score, check_tree(tree, tokens))
         raise DecodingFailed(f"no hypothesis finished within max_length={max_length}", partial)
 
     def rank_key(entry):
@@ -343,7 +343,7 @@ def ref_beam_decode(mr: MrTree | MrNode, scorer, config: DecodeConfig) -> Decode
     candidates = []
     for ids, score in finished[: config.beam_size]:
         tokens = tuple(vocab.decode(ids))
-        candidates.append(Candidate(tokens, score, check_tree(tracker, tokens)))
+        candidates.append(Candidate(tokens, score, check_tree(tree, tokens)))
     if config.mode is DecodeMode.RERANK:
         candidates = [c for c in candidates if c.tree_valid] + [
             c for c in candidates if not c.tree_valid

@@ -847,9 +847,9 @@ class TestSharedMemoDecode:
         held = []
 
         def counted(tracker, states):
-            moves = treegen.constraints.valid_structural_tokens(tracker, states)
+            entry = treegen.constraints.valid_structural_tokens(tracker, states)
             held.append(len(memo))
-            return moves
+            return entry
 
         monkeypatch.setattr(treegen.beam, "valid_structural_tokens", counted)
         config = DecodeConfig(beam_size=10, mode=DecodeMode.CONSTRAINED)
