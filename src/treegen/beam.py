@@ -8,6 +8,10 @@ MR's automaton, reading one table entry per state set, and a candidate
 is tree_valid when its EOS leaves a live alignment state; only the mask
 differs between modes.  Ties break lexicographically on token ids.
 
+Each step scores the live hypotheses in one session call, as row
+parents[i] of the step before extended by the one id tails[i]; ids are
+read back along the parents only for finished candidates and the partial.
+
 Constrained mode masks a token, word or move, when its entry in the
 state set's cost row (the fewest tokens that must follow it) exceeds the
 tokens max_length leaves, steering hypotheses into closing brackets.
@@ -32,16 +36,7 @@ from .constraints import (
     valid_structural_tokens,
 )
 from .scorers import Scorer, bind
-from .trees import (
-    CLOSE,
-    EOS,
-    MrNode,
-    MrTree,
-    as_tree,
-    canonicalize,
-    linearize,
-    open_token,
-)
+from .trees import CLOSE, EOS, MrNode, MrTree, as_tree, canonicalize, linearize, open_token
 
 
 class DecodeMode(enum.Enum):
@@ -146,6 +141,15 @@ class _StateTable(dict):
         return self.setdefault(states, (row, successors))
 
 
+def _ids(steps: list[tuple[list[int], list[tuple[int]]]], hyp: int) -> tuple[int, ...]:
+    """The ids of live hypothesis hyp, read back along its parents."""
+    ids: list[int] = []
+    for parents, tails in reversed(steps):
+        ids += tails[hyp]
+        hyp = parents[hyp]
+    return tuple(ids[::-1])
+
+
 def decode(
     mr: MrTree | MrNode, scorer: Scorer, config: DecodeConfig | None = None
 ) -> DecodeResult:
@@ -160,18 +164,19 @@ def decode(
     tree = canonicalize(as_tree(mr))
     _require_tokens(vocab, tree)
     mr_tokens = linearize(tree)
-    context = vocab.encode(mr_tokens)
     max_length = config.max_length or 2 * len(mr_tokens) + 64
 
     constrained = config.mode is DecodeMode.CONSTRAINED
     tracker = build_constraints(tree)
-    session = bind(scorer, context)
+    session = bind(scorer, vocab.encode(mr_tokens))
     table = _StateTable(tracker, vocab, constrained)
     size = len(vocab)
 
-    # the beam as parallel lists: prefix ids, float64 totals, and each
-    # hypothesis's alignment states
-    prefixes: list[tuple[int, ...]] = [()]
+    # the beam as parallel lists: hypothesis i extends row parents[i] of
+    # the step before by tails[i], and has a float64 total and alignment
+    # states; steps[j] keeps the (parents, tails) of length j + 1
+    parents, tails = [-1], [()]
+    steps: list[tuple[list[int], list[tuple[int]]]] = []
     scores = np.zeros(1)
     state_sets: list[StateSet] = [initial_states(tracker)]
     # (ids, score, whether its EOS left a live alignment state)
@@ -188,7 +193,7 @@ def decode(
             if scores.max() < bound:
                 break
         # a new matrix: the session's own rows are never written to
-        grid = np.asarray(session.logprobs(prefixes), dtype=np.float64) + scores[:, None]
+        grid = np.asarray(session.logprobs(parents, tails), dtype=np.float64) + scores[:, None]
         if constrained:
             # budget: tokens that may still follow the one chosen now.
             # Structural moves whose cheapest completion overruns it are
@@ -199,42 +204,37 @@ def decode(
         # ties go to the higher-ranked hypothesis, then the smaller token id
         flat = grid.ravel()
         order = _top_k(flat, k)
-        next_prefixes: list[tuple[int, ...]] = []
-        next_scores: list[float] = []
-        next_states: list[StateSet] = []
+        parents, tails, next_scores, next_states = [], [], [], []
         for idx, total in zip(order.tolist(), flat[order].tolist()):
             if total == -math.inf or math.isnan(total):
                 break
             hyp, token_id = divmod(idx, size)
-            ids = prefixes[hyp]
-            states = state_sets[hyp]
-            states = table[states][1].get(token_id, states)
+            states = table[state_sets[hyp]][1].get(token_id, state_sets[hyp])
             if token_id == vocab.eos_id:
-                finished.append((ids, total, bool(states)))
+                finished.append((_ids(steps, hyp), total, bool(states)))
             else:
-                next_prefixes.append(ids + (token_id,))
+                parents.append(hyp)
+                tails.append((token_id,))
                 next_scores.append(total)
                 next_states.append(states)
-        if not next_prefixes:
+        if not parents:
             break
-        prefixes, scores, state_sets = next_prefixes, np.array(next_scores), next_states
+        steps.append((parents, tails))
+        scores, state_sets = np.array(next_scores), next_states
 
     if not finished:
         best = int(scores.argmax())
         valid = bool(table[state_sets[best]][1][vocab.eos_id])
-        partial = Candidate(tuple(vocab.decode(prefixes[best])), float(scores[best]), valid)
+        partial = Candidate(tuple(vocab.decode(_ids(steps, best))), float(scores[best]), valid)
         raise DecodingFailed(f"no hypothesis finished within max_length={max_length}", partial)
 
     def rank_key(entry: tuple[tuple[int, ...], float, bool]):
-        ids, score, _ = entry
-        if config.length_penalty:
-            score = score / (len(ids) + 1) ** config.length_penalty
-        return (-score, ids)
+        ids, score, _ = entry  # a penalty of 0 divides by exactly 1
+        return (-score / (len(ids) + 1) ** config.length_penalty, ids)
 
     finished.sort(key=rank_key)
     candidates = [
-        Candidate(tuple(vocab.decode(ids)), score, valid)
-        for ids, score, valid in finished[:k]
+        Candidate(tuple(vocab.decode(ids)), score, valid) for ids, score, valid in finished[:k]
     ]
     if config.mode is DecodeMode.RERANK:
         candidates = rerank_by_tree_accuracy(candidates)

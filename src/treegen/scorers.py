@@ -8,10 +8,13 @@ shared :class:`~treegen.vocab.Vocabulary` and return full-vocabulary
 log-probability vectors whose exponentials sum to one.
 
 The decoder scores through :func:`bind`: one session per MR, whose
-``logprobs(prefixes)`` answers a whole beam with one (rows x vocab)
-matrix.  A scorer with its own ``bind`` resolves the MR once per
-session; any other scorer is lifted by an adapter that asks it prefix by
-prefix.
+``logprobs(parents, tails)`` answers a whole beam with one (rows x vocab)
+matrix.  Row i is row ``parents[i]`` of the session's previous call
+extended by the ids ``tails[i]``, and parent -1 is the empty prefix, so a
+beam step sends one new id per hypothesis; a request of wire protocol 3
+means the same.  A scorer with its own ``bind`` resolves the MR once per
+session; any other scorer is lifted by an adapter that rebuilds each
+prefix and asks for it whole.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import os
 import select
 import subprocess
 import time
+from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from typing import IO, Protocol
 
@@ -82,23 +86,51 @@ class Scorer(Protocol):
 
 
 class ScorerSession(Protocol):
-    def logprobs(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
-        """(len(prefixes), vocab) float64 log-probabilities, one row per prefix."""
+    def logprobs(self, parents: Sequence[int], tails: Sequence[Sequence[int]]) -> np.ndarray:
+        """(len(parents), vocab) float64 log-probabilities, one row per prefix.
+
+        Prefix i is prefix parents[i] of the session's previous call
+        followed by tails[i]; parent -1 is the empty prefix.
+        """
         ...
 
 
+def _check_parents(count: int, parents: Sequence[int], tails: Sequence) -> None:
+    """ValueError unless there is a tail per parent and each parent is -1
+    or one of the count prefixes of the previous call."""
+    if len(parents) != len(tails):
+        raise ValueError(f"{len(parents)} parents but {len(tails)} tails")
+    if len(parents) and not (-1 <= min(parents) and max(parents) < count):
+        bad = next(p for p in parents if not -1 <= p < count)
+        raise ValueError(f"parent {bad} is not -1 or one of the {count} previous prefixes")
+
+
+def _prefixes(
+    previous: list[tuple[int, ...]], parents: Sequence[int], tails: Sequence[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """Each prefix whole: previous[parents[i]] followed by tails[i]."""
+    _check_parents(len(previous), parents, tails)
+    return [previous[p] + tuple(t) if p >= 0 else tuple(t) for p, t in zip(parents, tails)]
+
+
 class _PerPrefixSession:
-    """Lifts a scorer that only has ``logprobs(prefix, context)``."""
+    """Lifts a scorer that only has ``logprobs(prefix, context)``.
+
+    It keeps the previous call's prefixes and asks for each row whole.
+    """
 
     def __init__(self, scorer: Scorer, context: Context):
         self._scorer = scorer
         self._context = context
         self._size = len(scorer.vocabulary)
+        self._prefixes: list[tuple[int, ...]] = []
 
-    def logprobs(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+    def logprobs(self, parents: Sequence[int], tails: Sequence[Sequence[int]]) -> np.ndarray:
+        prefixes = _prefixes(self._prefixes, parents, tails)
         out = np.empty((len(prefixes), self._size))
         for row, prefix in zip(out, prefixes):
             row[:] = self._scorer.logprobs(prefix, self._context)
+        self._prefixes = prefixes
         return out
 
 
@@ -230,10 +262,15 @@ class NGramModel:
     training examples share an MR signature, a sub-model trained on just
     those examples answers queries for that signature; everything else
     falls to the global model.
+
+    Log rows live in one LRU per model, at most ``_ROW_LIMIT`` of them
+    (8 x vocabulary bytes each), keyed by signature and the longest
+    context suffix with counts.  A row's probabilities are computed only
+    when it is missing, and nothing else is cached.
     """
 
-    # vectors are O(vocab) each; clear the memo before it outgrows RAM
-    _CACHE_LIMIT = 8192
+    # log rows are O(vocab) floats each; the LRU keeps at most this many
+    _ROW_LIMIT = 6144
 
     def __init__(
         self,
@@ -252,7 +289,8 @@ class NGramModel:
         self.min_signature_examples = min_signature_examples
         self._global = _CountTable(order)
         self._signature_tables: dict[str, _CountTable] = {}
-        self._cache: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
+        # (signature, context with counts) -> log row, least recent first
+        self._log_rows: OrderedDict[tuple[str, tuple[int, ...]], np.ndarray] = OrderedDict()
         # the last id-context bind resolved, with its signature and table
         self._last_bind: tuple[tuple[int, ...], tuple[str, _CountTable]] | None = None
 
@@ -277,36 +315,48 @@ class NGramModel:
 
     # -- scoring ----------------------------------------------------------
 
-    def _prob_vector(self, key: str, table: _CountTable, ctx: tuple[int, ...]) -> np.ndarray:
-        cached = self._cache.get((key, ctx))
-        if cached is not None:
-            return cached
-        if len(self._cache) >= self._CACHE_LIMIT:
-            self._cache.clear()
+    def _prob_vector(self, table: _CountTable, ctx: tuple[int, ...]) -> np.ndarray:
+        """The interpolated distribution, built up from the uniform one.
+
+        Each suffix of ctx with counts, shortest first, mixes its own
+        discounted counts with the vector below it; a suffix without
+        counts backs off and leaves the vector as it is.
+        """
         size = len(self.vocabulary)
-        if ctx and ctx not in table.counts[len(ctx)]:
-            vec = self._prob_vector(key, table, ctx[1:])
-            self._cache[(key, ctx)] = vec
-            return vec
-        lower = (
-            self._prob_vector(key, table, ctx[1:])
-            if ctx
-            else np.full(size, 1.0 / size)
-        )
-        bucket = table.counts[len(ctx)].get(ctx)
-        if bucket is None:
-            # empty table at the unigram level: nothing was trained
-            self._cache[(key, ctx)] = lower
-            return lower
-        total = table.totals[len(ctx)][ctx]
-        vec = np.zeros(size)
-        words = np.fromiter(bucket.keys(), dtype=np.intp, count=len(bucket))
-        hits = np.fromiter(bucket.values(), dtype=np.float64, count=len(bucket))
-        vec[words] = hits - self.discount
-        vec /= total
-        vec += (self.discount * len(bucket) / total) * lower
-        self._cache[(key, ctx)] = vec
+        vec = np.full(size, 1.0 / size)
+        for k in range(len(ctx) + 1):
+            sub = ctx[len(ctx) - k :]
+            bucket = table.counts[k].get(sub)
+            if bucket is None:
+                continue
+            total = table.totals[k][sub]
+            lower, vec = vec, np.zeros(size)
+            words = np.fromiter(bucket.keys(), dtype=np.intp, count=len(bucket))
+            hits = np.fromiter(bucket.values(), dtype=np.float64, count=len(bucket))
+            vec[words] = hits - self.discount
+            vec /= total
+            vec += (self.discount * len(bucket) / total) * lower
         return vec
+
+    def _log_row(self, key: str, table: _CountTable, ctx: tuple[int, ...]) -> np.ndarray:
+        """The log row for ctx, from the LRU or computed and kept there.
+
+        A context without counts scores as its longest suffix with counts,
+        so every context that backs off to one suffix shares its row,
+        which is read-only.
+        """
+        while ctx and ctx not in table.counts[len(ctx)]:
+            ctx = ctx[1:]
+        rows, entry = self._log_rows, (key, ctx)
+        row = rows.get(entry)
+        if row is not None:
+            rows.move_to_end(entry)
+            return row
+        row = rows[entry] = np.log(self._prob_vector(table, ctx))
+        row.flags.writeable = False
+        if len(rows) > self._ROW_LIMIT:
+            rows.popitem(last=False)
+        return row
 
     def bind(self, context: Context = None) -> "_NGramSession":
         """A session with the MR's signature and sub-table resolved once.
@@ -329,11 +379,11 @@ class NGramModel:
         return _NGramSession(self, sig, table)
 
     def logprobs(self, prefix: Sequence[int], context: Context = None) -> np.ndarray:
-        return self.bind(context).logprobs([prefix])[0]
+        return self.bind(context).logprobs([-1], [prefix])[0]
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state["_cache"] = {}
+        state["_log_rows"] = OrderedDict()
         state["_last_bind"] = None
         return state
 
@@ -394,11 +444,14 @@ class NGramModel:
 
 
 class _NGramSession:
-    """One MR's view of an n-gram model, with a log-vector per context.
+    """One MR's view of an n-gram model: an automaton over contexts.
 
-    The session remembers the previous call's prefix -> context map.  A
-    prefix that extends one of those rows by one id checks only that id
-    and shifts the row's context; any other prefix is checked whole.
+    Each context the session reaches (its last order - 1 ids, BOS-padded)
+    gets a dense id, a log row in a growing matrix and a map from a next
+    token id to the context it leads to.  A tail id is checked when it
+    first enters a context's map; a parent of -1 makes the tail the whole
+    prefix, which is checked whole.  A call gathers its rows with one
+    fancy index.
     """
 
     def __init__(self, model: NGramModel, key: str, table: _CountTable):
@@ -406,40 +459,48 @@ class _NGramSession:
         self._key = key
         self._table = table
         self._size = len(model.vocabulary)
-        self._n = model.order - 1
-        self._pad = (model.vocabulary.bos_id,) * self._n
-        # dies with the session, so it holds at most one decode's contexts
-        self._memo: dict[tuple[int, ...], np.ndarray] = {}
-        self._contexts: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._pad = (model.vocabulary.bos_id,) * (model.order - 1)
+        self._id_of: dict[tuple[int, ...], int] = {}  # context -> its id
+        self._ctx: list[tuple[int, ...]] = []  # id -> context
+        self._next: list[dict[int, int]] = []  # id -> {token id: id}
+        self._logp = np.empty((8, self._size))  # id -> log row
+        self._rows: list[int] = []  # the previous call's context id per row
 
-    def logprobs(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
-        n, size, previous = self._n, self._size, self._contexts
-        contexts: dict[tuple[int, ...], tuple[int, ...]] = {}
-        out = np.empty((len(prefixes), size))
-        for row, prefix in zip(out, prefixes):
-            prefix = tuple(prefix)
-            parent = previous.get(prefix[:-1]) if prefix else None
-            if parent is not None:
-                last = prefix[-1]
-                if not 0 <= last < size:
-                    raise UnknownToken(last)
-                ctx = (parent + (last,))[1:]
+    def _context_id(self, ctx: tuple[int, ...]) -> int:
+        cid = self._id_of.get(ctx)
+        if cid is None:
+            cid = self._id_of[ctx] = len(self._ctx)
+            if cid == len(self._logp):
+                grown = np.empty((2 * cid, self._size))
+                grown[:cid] = self._logp
+                self._logp = grown
+            self._logp[cid] = self._model._log_row(self._key, self._table, ctx)
+            self._ctx.append(ctx)
+            self._next.append({})
+        return cid
+
+    def _extend(self, cid: int, token: int) -> int:
+        if not 0 <= token < self._size:
+            raise UnknownToken(token)
+        nxt = self._next[cid][token] = self._context_id((self._ctx[cid] + (token,))[1:])
+        return nxt
+
+    def logprobs(self, parents: Sequence[int], tails: Sequence[Sequence[int]]) -> np.ndarray:
+        _check_parents(len(self._rows), parents, tails)
+        previous, nexts, rows = self._rows, self._next, []
+        for parent, tail in zip(parents, tails):
+            if parent < 0:
+                tail = tuple(tail)
+                _check_prefix(self._size, tail)
+                cid = self._context_id((self._pad + tail)[len(tail) :])
             else:
-                _check_prefix(size, prefix)
-                if not n:
-                    ctx = ()
-                elif len(prefix) >= n:
-                    ctx = prefix[-n:]
-                else:
-                    ctx = self._pad[len(prefix) :] + prefix
-            contexts[prefix] = ctx
-            vec = self._memo.get(ctx)
-            if vec is None:
-                vec = np.log(self._model._prob_vector(self._key, self._table, ctx))
-                self._memo[ctx] = vec
-            row[:] = vec
-        self._contexts = contexts
-        return out
+                cid = previous[parent]
+                for token in tail:
+                    nxt = nexts[cid].get(token)
+                    cid = self._extend(cid, token) if nxt is None else nxt
+            rows.append(cid)
+        self._rows = rows
+        return self._logp[rows]
 
 
 def train_ngram(
@@ -478,8 +539,11 @@ def train_ngram(
 # -- external scorer protocol ----------------------------------------------
 #
 # Newline-delimited JSON over the child's standard streams, one request
-# per beam step.  Each side keeps the prefixes of the last request it
-# answered, so a request sends only what is new and a response sends each
+# per session call.  A request means what a session call means: row i
+# extends row parents[i] of the previous request by tails[i].  Each side
+# keeps the prefixes of the last request it answered, and the client
+# finds each session row among them, so sessions may interleave on one
+# connection; a request sends only what is new and a response sends each
 # distinct row once.
 #   handshake (server -> client): {"vocab_size": int, "protocol": 3}
 #   request   (client -> server):
@@ -599,7 +663,7 @@ class ExternalScorer:
         return _ExternalSession(self, _context_ids(self.vocabulary, context))
 
     def logprobs(self, prefix: Sequence[int], context: Context = None) -> np.ndarray:
-        return self.bind(context).logprobs([prefix])[0]
+        return self.bind(context).logprobs([-1], [prefix])[0]
 
     def _score(self, context: list[int], prefixes: Sequence[Sequence[int]]) -> np.ndarray:
         """One request and its response: a (len(prefixes), vocab) matrix."""
@@ -685,14 +749,22 @@ class ExternalScorer:
 
 
 class _ExternalSession:
-    """One MR's context ids, sent with every request of a decode."""
+    """One MR's context ids, sent with every request of a decode.
+
+    It keeps the previous call's prefixes and hands the scorer each row
+    whole; the scorer finds what the server already holds.
+    """
 
     def __init__(self, scorer: ExternalScorer, context: list[int]):
         self._scorer = scorer
         self._context = context
+        self._prefixes: list[tuple[int, ...]] = []
 
-    def logprobs(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
-        return self._scorer._score(self._context, prefixes)
+    def logprobs(self, parents: Sequence[int], tails: Sequence[Sequence[int]]) -> np.ndarray:
+        prefixes = _prefixes(self._prefixes, parents, tails)
+        matrix = self._scorer._score(self._context, prefixes)
+        self._prefixes = prefixes
+        return matrix
 
 
 def _is_token_ids(value) -> bool:
@@ -729,19 +801,12 @@ def _answer(
         return _refuse(request_id, "tails must be lists of token ids")
     if not isinstance(parents, list) or not all(type(p) is int for p in parents):
         return _refuse(request_id, "parents must be a list of ints")
-    if len(parents) != len(tails):
-        return _refuse(request_id, f"{len(parents)} parents but {len(tails)} tails")
-    for parent in parents:
-        if not -1 <= parent < len(previous):
-            return _refuse(
-                request_id,
-                f"parent {parent} is not -1 or one of the {len(previous)} previous prefixes",
-            )
-    prefixes = [
-        previous[p] + tuple(t) if p >= 0 else tuple(t) for p, t in zip(parents, tails)
-    ]
     try:
-        matrix = bind(scorer, context).logprobs(prefixes)
+        prefixes = _prefixes(previous, parents, tails)
+    except ValueError as exc:
+        return _refuse(request_id, str(exc))
+    try:
+        matrix = bind(scorer, context).logprobs([-1] * len(prefixes), prefixes)
     except UnknownToken as exc:
         return _refuse(request_id, f"unknown token id {exc.args[0]!r}")
     # each distinct row once, compared bit for bit
@@ -784,7 +849,8 @@ def sequence_logprob(scorer: Scorer, tokens: Sequence[str], context: Context = N
     ids = vocab.encode(tokens)
     if not ids or ids[-1] != vocab.eos_id:
         ids.append(vocab.eos_id)
-    matrix = bind(scorer, context).logprobs([ids[:pos] for pos in range(len(ids))])
+    prefixes = [ids[:pos] for pos in range(len(ids))]
+    matrix = bind(scorer, context).logprobs([-1] * len(prefixes), prefixes)
     total = 0.0
     for row, target in zip(matrix, ids):
         total += float(row[target])

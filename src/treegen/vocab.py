@@ -82,4 +82,8 @@ class Vocabulary:
         return [self._ids.get(tok, self.unk_id) for tok in tokens]
 
     def decode(self, ids: Sequence[int]) -> list[str]:
-        return [self.token(i) for i in ids]
+        """Map ids to tokens; UnknownToken names the first id out of range."""
+        tokens = self._tokens
+        if len(ids) and not (0 <= min(ids) and max(ids) < len(tokens)):
+            raise UnknownToken(next(i for i in ids if not 0 <= i < len(tokens)))
+        return [tokens[i] for i in ids]

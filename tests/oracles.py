@@ -291,7 +291,8 @@ def ref_beam_decode(mr: MrTree | MrNode, scorer, config: DecodeConfig) -> Decode
                 break
         rows = []
         moves = []
-        logprobs = session.logprobs([ids for ids, _, _ in live])
+        # every prefix whole, from parent -1
+        logprobs = session.logprobs([-1] * len(live), [ids for ids, _, _ in live])
         for (ids, score, states), vec in zip(live, logprobs):
             successors = {}
             if constrained:

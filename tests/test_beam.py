@@ -255,12 +255,14 @@ class LogprobsOnly:
 
 
 class CountingSessions:
-    """Records every bind and the prefixes of every session call."""
+    """Records every bind, and every session call: its (parents, tails) in
+    calls, and in steps the whole prefixes they stand for."""
 
     def __init__(self, inner):
         self.vocabulary = inner.vocabulary
         self._inner = inner
         self.binds = 0
+        self.calls: list[tuple[list[int], list[tuple[int, ...]]]] = []
         self.steps: list[list[tuple[int, ...]]] = []
 
     def logprobs(self, prefix, context=None):
@@ -269,17 +271,71 @@ class CountingSessions:
     def bind(self, context=None):
         self.binds += 1
         session = bind(self._inner, context)
-        steps = self.steps
+        calls, steps = self.calls, self.steps
 
         class Session:
-            def logprobs(self, prefixes):
-                steps.append([tuple(p) for p in prefixes])
-                return session.logprobs(prefixes)
+            previous: list[tuple[int, ...]] = []
+
+            def logprobs(self, parents, tails):
+                calls.append((list(parents), [tuple(t) for t in tails]))
+                self.previous = [
+                    self.previous[p] + tuple(t) if p >= 0 else tuple(t)
+                    for p, t in zip(parents, tails)
+                ]
+                steps.append(self.previous)
+                return session.logprobs(parents, tails)
 
         return Session()
 
 
 MODES = list(DecodeMode)
+
+
+class RecurrentDouble:
+    """A stateful scorer: its session keeps one running hash per row and
+    reorders it by ``parents``, as a recurrent decoder reorders its hidden
+    state; ``logprobs(prefix, context)`` recomputes the hash from the
+    whole prefix.  Each row is a seeded draw from the hash alone."""
+
+    def __init__(self, vocabulary):
+        self.vocabulary = vocabulary
+        self.size = len(vocabulary)
+
+    @staticmethod
+    def step(state, ids):
+        for i in ids:
+            state = (state * 1_000_003 + i + 1) % (2**61 - 1)
+        return state
+
+    def row(self, state):
+        vec = np.random.default_rng(state).standard_normal(self.size) * 3.0
+        return vec - np.logaddexp.reduce(vec)
+
+    def logprobs(self, prefix, context=None):
+        return self.row(self.step(self.step(7, context or ()), prefix))
+
+    def bind(self, context=None):
+        outer, start = self, self.step(7, context or ())
+
+        class Session:
+            states: list[int] = []
+
+            def logprobs(self, parents, tails):
+                self.states = [
+                    outer.step(self.states[p] if p >= 0 else start, t)
+                    for p, t in zip(parents, tails)
+                ]
+                return np.array([outer.row(h) for h in self.states]).reshape(-1, outer.size)
+
+        return Session()
+
+
+def decode_outcome(mr, scorer, config):
+    """The candidates, or the DecodingFailed partial, of one decode."""
+    try:
+        return decode(mr, scorer, config).candidates
+    except DecodingFailed as exc:
+        return exc.partial
 
 
 class TestScorerSessions:
@@ -317,6 +373,17 @@ class TestScorerSessions:
             lifted = decode(mr, LogprobsOnly(model), config).candidates
             assert lifted == native
             assert [c.score for c in lifted] == [c.score for c in native]
+
+    @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+    def test_recurrent_session_reordered_by_parents_equals_whole_prefixes(self, mode):
+        mr_a, _, model = TestTrainedDecode().build()
+        double = RecurrentDouble(model.vocabulary)
+        mrs = [mr_a, mk("[RECOMMEND [activity hike ] ]"), mk("[INFORM [temp 20 ] [temp 20 ] ]")]
+        for mr in mrs:
+            for beam_size in (1, 4):
+                config = DecodeConfig(beam_size=beam_size, mode=mode, max_length=24)
+                stateful = decode_outcome(mr, double, config)
+                assert stateful == decode_outcome(mr, LogprobsOnly(double), config)
 
 
 class TestBuildOnce:
@@ -633,7 +700,7 @@ class TestProtocol3Decode:
         for mr in (mr_a, mr_b):
             counting = CountingSessions(model)
             decode(mr, counting, config)
-            steps[mr] = counting.steps
+            steps[mr] = counting.calls
         remote, log = self.remote(tmp_path, model)
         with remote:
             sessions = {mr: remote.bind(mr) for mr in (mr_a, mr_b)}
@@ -641,8 +708,8 @@ class TestProtocol3Decode:
             for k in range(max(len(steps[mr_a]), len(steps[mr_b]))):
                 for mr in (mr_a, mr_b):
                     if k < len(steps[mr]):
-                        got = sessions[mr].logprobs(steps[mr][k])
-                        want = local[mr].logprobs(steps[mr][k])
+                        got = sessions[mr].logprobs(*steps[mr][k])
+                        want = local[mr].logprobs(*steps[mr][k])
                         assert got.tobytes() == want.tobytes()
         contexts = {tuple(r["context"]) for r in self.requests(log)}
         assert len(contexts) == 2
@@ -681,13 +748,13 @@ class TestProtocol3Decode:
         remote, log = self.remote(tmp_path, model)
         with remote:
             session = remote.bind(mrs[0])
-            session.logprobs([[]])
-            session.logprobs([[w1]])
+            session.logprobs([-1], [[]])
+            session.logprobs([0], [[w1]])
             with pytest.raises(ProtocolViolation, match="unknown token id"):
                 remote.logprobs([w1], [len(vocab) + 4])
             # the refusal cleared both ends: [w1] is not referenced now
-            got = session.logprobs([[w1, w2]])
-            assert got.tobytes() == bind(model, mrs[0]).logprobs([[w1, w2]]).tobytes()
+            got = session.logprobs([0], [[w2]])
+            assert got.tobytes() == bind(model, mrs[0]).logprobs([-1], [[w1, w2]]).tobytes()
             for mr in mrs[:3]:
                 with pytest.raises(ProtocolViolation):
                     remote.logprobs([], [len(vocab) + 4])

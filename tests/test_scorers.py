@@ -14,6 +14,7 @@ import pickle
 import subprocess
 import sys
 import time
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -47,6 +48,11 @@ def mk(text):
 
 def assert_normalized(vec, tolerance=1e-9):
     assert abs(float(np.exp(vec).sum()) - 1.0) <= tolerance
+
+
+def whole(session, prefixes):
+    """One session call that sends every prefix whole, from parent -1."""
+    return session.logprobs([-1] * len(prefixes), prefixes)
 
 
 class TestUniformScorer:
@@ -181,7 +187,7 @@ class TestBackoff:
         # not the public surface
         high._global.counts[2].clear()
         high._global.totals[2].clear()
-        high._cache.clear()
+        high._log_rows.clear()
         for prefix in [[], ["it"], ["it", "will"], ["rain", "tomorrow"]]:
             assert np.array_equal(
                 high.logprobs(vocab.encode(prefix)),
@@ -349,12 +355,19 @@ class TestBindMemo:
         assert model._last_bind is None
 
     def test_pickled_model_carries_no_memo(self):
-        model = single_sequence_model()
+        model = single_sequence_model(order=3)
         model.bind([0, 1])
+        prefixes = [[], [4], [4, 5], [5, 4], [4]]
+        want = whole(model.bind([0, 1]), prefixes)
         assert model._last_bind is not None
+        assert model._log_rows
         clone = pickle.loads(pickle.dumps(model))
         assert clone._last_bind is None
+        # an empty LRU that can still reorder: a --jobs worker's clone
+        assert type(clone._log_rows) is OrderedDict and not clone._log_rows
         assert np.array_equal(clone.logprobs([], [0, 1]), model.logprobs([], [0, 1]))
+        assert whole(clone.bind([0, 1]), prefixes).tobytes() == want.tobytes()
+        assert whole(clone.bind([0, 1]), prefixes).tobytes() == want.tobytes()
 
 
 class TestPerplexity:
@@ -394,7 +407,7 @@ class CountingBinder:
         self.vocabulary = inner.vocabulary
         self._inner = inner
         self.binds = 0
-        self.requests: list[list[tuple[int, ...]]] = []
+        self.requests: list[list[tuple[int, tuple[int, ...]]]] = []
 
     def logprobs(self, prefix, context=None):
         raise AssertionError("the per-prefix path was used")
@@ -405,9 +418,9 @@ class CountingBinder:
         outer = self
 
         class Session:
-            def logprobs(self, prefixes):
-                outer.requests.append([tuple(p) for p in prefixes])
-                return inner.logprobs(prefixes)
+            def logprobs(self, parents, tails):
+                outer.requests.append([(p, tuple(t)) for p, t in zip(parents, tails)])
+                return inner.logprobs(parents, tails)
 
         return Session()
 
@@ -420,12 +433,12 @@ class TestSessions:
         vocab = model.vocabulary
         prefixes = [vocab.encode(p) for p in self.PREFIXES]
         for context in [None, mr_a, mr_b, vocab.encode(linearize(canonicalize(mr_a)))]:
-            matrix = model.bind(context).logprobs(prefixes)
+            matrix = whole(model.bind(context), prefixes)
             assert matrix.shape == (len(prefixes), len(vocab))
             assert matrix.dtype == np.float64
             for row, prefix in zip(matrix, prefixes):
                 assert np.array_equal(row, model.logprobs(prefix, context))
-            lifted = bind(LogprobsOnly(model), context).logprobs(prefixes)
+            lifted = whole(bind(LogprobsOnly(model), context), prefixes)
             assert np.array_equal(lifted, matrix)
 
     def test_rows_are_independent_of_the_memo(self):
@@ -434,10 +447,10 @@ class TestSessions:
         model = single_sequence_model(order=3)
         vocab = model.vocabulary
         session = model.bind(None)
-        first = session.logprobs([vocab.encode(["a"]), vocab.encode(["a"])])
+        first = whole(session, [vocab.encode(["a"]), vocab.encode(["a"])])
         assert np.array_equal(first[0], first[1])
         first[0, 0] = 123.0
-        again = session.logprobs([vocab.encode(["a"])])
+        again = session.logprobs([1], [[]])
         assert np.array_equal(again[0], first[1])
 
     def test_every_prefix_id_is_validated(self):
@@ -446,7 +459,7 @@ class TestSessions:
         session = model.bind(None)
         for bad in ([size], [-1], [0, 1, size + 5, 2]):
             with pytest.raises(UnknownToken) as info:
-                session.logprobs([[0], bad])
+                whole(session, [[0], bad])
             assert info.value.args[0] == next(i for i in bad if not 0 <= i < size)
 
     def test_extending_prefix_with_a_bad_last_id_raises(self):
@@ -454,23 +467,23 @@ class TestSessions:
         size = len(model.vocabulary)
         for bad in (size, size + 3, -1):
             session = model.bind(None)
-            session.logprobs([[], [2]])
-            session.logprobs([[2, 3]])
+            whole(session, [[], [2]])
+            session.logprobs([1], [[3]])  # [2, 3]
             with pytest.raises(UnknownToken) as info:
-                session.logprobs([[2, 3, 4], [2, 3, bad]])
+                session.logprobs([0, 0], [[4], [bad]])
             assert info.value.args[0] == bad
 
     def test_non_extending_prefix_is_checked_whole(self):
         model = single_sequence_model(order=3)
         size = len(model.vocabulary)
         session = model.bind(None)
-        session.logprobs([[2], [3]])
-        # [2, size + 1, 3] does not extend a row of the last call
+        whole(session, [[2], [3]])
+        # [2, size + 1, 3] is sent whole, from parent -1
         with pytest.raises(UnknownToken) as info:
-            session.logprobs([[2, 3], [2, size + 1, 3]])
+            session.logprobs([0, -1], [[3], [2, size + 1, 3]])
         assert info.value.args[0] == size + 1
         with pytest.raises(UnknownToken) as info:
-            session.logprobs([[-1, 2, 3]])
+            whole(session, [[-1, 2, 3]])
         assert info.value.args[0] == -1
 
     @settings(max_examples=60, deadline=None)
@@ -487,26 +500,118 @@ class TestSessions:
         model = single_sequence_model(repeats=3, order=order)
         size = len(model.vocabulary)
         session = model.bind(None)
+        whole(session, [()])
         previous = [()]
         for step in steps:
+            parents = [pick % len(previous) if previous else -1 for pick, _ in step]
+            tails = [(token % size,) for _, token in step]
             prefixes = [
-                previous[pick % len(previous)] + (token % size,) if previous else (token % size,)
-                for pick, token in step
+                previous[p] + tail if p >= 0 else tail for p, tail in zip(parents, tails)
             ]
-            matrix = session.logprobs(prefixes)
-            fresh = model.bind(None).logprobs(prefixes)
+            matrix = session.logprobs(parents, tails)
+            fresh = whole(model.bind(None), prefixes)
             assert matrix.tobytes() == fresh.tobytes()
             previous = prefixes
 
     def test_adapter_asks_once_per_prefix(self):
         double = LogprobsOnly(UniformScorer(Vocabulary.from_tokens(["a", "b"])))
-        matrix = bind(double, None).logprobs([[], [4], [4, 5]])
+        matrix = whole(bind(double, None), [[], [4], [4, 5]])
         assert matrix.shape == (3, len(double.vocabulary))
         assert double.calls == 3
 
     def test_empty_request_is_an_empty_matrix(self):
         model = single_sequence_model()
-        assert model.bind(None).logprobs([]).shape == (0, len(model.vocabulary))
+        assert model.bind(None).logprobs([], []).shape == (0, len(model.vocabulary))
+
+
+class TestSessionInput:
+    @pytest.mark.parametrize("lifted", [False, True], ids=["native", "adapter"])
+    def test_bad_parents_raise_value_error_and_keep_the_rows(self, lifted):
+        model = single_sequence_model(order=3)
+        size = len(model.vocabulary)
+        scorer = LogprobsOnly(model) if lifted else model
+        session = bind(scorer, None)
+        with pytest.raises(ValueError, match="parent 0 is not -1 or one of the 0 previous"):
+            session.logprobs([0], [[4]])
+        whole(session, [[], [4]])
+        for parents in ([2], [-2], [0, 5]):
+            with pytest.raises(ValueError, match=f"parent {parents[-1]} is not -1 or one of the 2"):
+                session.logprobs(parents, [[4]] * len(parents))
+        with pytest.raises(ValueError, match="2 parents but 1 tails"):
+            session.logprobs([0, 1], [[4]])
+        for bad in (size, -1):
+            with pytest.raises(UnknownToken) as info:
+                session.logprobs([1, 0], [[5], [4, bad]])
+            assert info.value.args[0] == bad
+        # every refused call left the rows of the last good one in place
+        got = session.logprobs([1, 0], [[5], [5, 6]])
+        assert got.tobytes() == whole(model.bind(None), [[4, 5], [5, 6]]).tobytes()
+
+
+class TestLogRowLRU:
+    CONTEXTS = {
+        "a": mk("[INFORM [temp 20 ] ]"),
+        "b": mk("[RECOMMEND [activity hike ] ]"),
+        "rare": mk("[ERROR [error_reason unknown ] ]"),
+        None: None,
+    }
+
+    def build(self, order, limit):
+        a, b = self.CONTEXTS["a"], self.CONTEXTS["b"]
+        corpus = [(a, "alpha beta gamma alpha beta".split())] * 6
+        corpus += [(b, "delta epsilon zeta delta".split())] * 5
+        corpus += [(self.CONTEXTS["rare"], "oops beta".split()), (None, "zeta beta alpha".split())]
+        model = train_ngram(corpus, order=order)
+        model._ROW_LIMIT = limit
+        return model
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        order=st.integers(1, 4),
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from(sorted(CONTEXTS, key=str)),
+                st.lists(st.lists(st.integers(0, 40), max_size=6), max_size=4),
+            ),
+            max_size=10,
+        ),
+    )
+    def test_a_bound_of_three_rows_changes_no_row(self, order, calls):
+        # signature sub-models, the global model, and ids the training
+        # never put in a context, against a model that never evicts
+        small, big = self.build(order, 3), self.build(order, 10**9)
+        size = len(small.vocabulary)
+        for name, prefixes in calls:
+            prefixes = [[i % size for i in prefix] for prefix in prefixes]
+            context = self.CONTEXTS[name]
+            got = whole(small.bind(context), prefixes)
+            assert got.tobytes() == whole(big.bind(context), prefixes).tobytes()
+            assert len(small._log_rows) <= 3
+
+    def test_bound_holds_after_every_call_and_evicts_the_least_recent(self):
+        model = self.build(order=3, limit=2)
+        vocab = model.vocabulary
+        # three contexts the training saw, so each is its own row
+        pairs = (["alpha", "beta"], ["beta", "gamma"], ["gamma", "alpha"])
+        a, b, c = ([vocab.encode(pair)] for pair in pairs)
+        for prefixes in (a, b, a, c):
+            whole(model.bind(None), prefixes)
+            assert len(model._log_rows) <= 2
+        # a was read again after b, so b went first
+        assert [ctx for _, ctx in model._log_rows] == [tuple(a[0]), tuple(c[0])]
+
+    def test_unseen_contexts_share_one_row_object(self):
+        corpus = [(None, ["x", "y", "z"]), (None, ["p", "y", "q"])]
+        model = train_ngram(corpus, order=3)
+        vocab = model.vocabulary
+        # neither (z, y) nor (q, y) was seen; both score as (y,)
+        rows = [
+            model._log_row("", model._global, tuple(vocab.encode(pair)))
+            for pair in (["z", "y"], ["q", "y"], ["y"])
+        ]
+        assert rows[0] is rows[1] is rows[2]
+        assert list(model._log_rows) == [("", tuple(vocab.encode(["y"])))]
+        assert not rows[0].flags.writeable
 
 
 class TestSequenceLogprob:
@@ -628,7 +733,7 @@ class TestExternalScorer:
         vocab = self.vocab()
         w1, w2 = vocab.encode(["w1", "w2"])
         with ExternalScorer(spawn_args(tmp_path, len(vocab)), vocab) as remote:
-            matrix = remote.bind([vocab.close_id]).logprobs([[], [w1], [w1, w2]])
+            matrix = whole(remote.bind([vocab.close_id]), [[], [w1], [w1, w2]])
             assert remote._next_id == 1
         assert matrix.shape == (3, len(vocab))
         assert np.array_equal(matrix, np.full((3, len(vocab)), math.log(1.0 / len(vocab))))
@@ -637,7 +742,7 @@ class TestExternalScorer:
         vocab = self.vocab()
         with ExternalScorer(spawn_args(tmp_path, len(vocab)), vocab) as remote:
             with pytest.raises(UnknownToken):
-                remote.bind(None).logprobs([[], [len(vocab)]])
+                whole(remote.bind(None), [[], [len(vocab)]])
             assert remote._next_id == 0
 
     def test_only_new_tail_ids_are_sent_and_checked(self, tmp_path):
@@ -645,18 +750,30 @@ class TestExternalScorer:
         size = len(vocab)
         with ExternalScorer(spawn_args(tmp_path, size), vocab) as remote:
             session = remote.bind(None)
-            session.logprobs([[4], [5, 6]])
+            whole(session, [[4], [5, 6]])
             assert remote._sent == {(4,): 0, (5, 6): 1}
             # an extension is checked on its new id only; nothing is sent
             for bad in (size, -1):
                 with pytest.raises(UnknownToken) as info:
-                    session.logprobs([[5, 6, 4], [4, bad]])
+                    session.logprobs([1, 0], [[4], [bad]])  # [5, 6, 4], [4, bad]
                 assert info.value.args[0] == bad
             assert remote._next_id == 1
             assert remote._sent == {(4,): 0, (5, 6): 1}
-            matrix = session.logprobs([[5, 6, 4], [4, 6], [6, 4]])
+            matrix = session.logprobs([1, 0, -1], [[4], [6], [6, 4]])
             assert remote._sent == {(5, 6, 4): 0, (4, 6): 1, (6, 4): 2}
         assert np.array_equal(matrix, np.full((3, size), math.log(1.0 / size)))
+
+    def test_bad_parent_is_refused_before_sending(self, tmp_path):
+        vocab = self.vocab()
+        with ExternalScorer(spawn_args(tmp_path, len(vocab)), vocab) as remote:
+            session = remote.bind(None)
+            with pytest.raises(ValueError, match="parent 0 is not -1 or one of the 0"):
+                session.logprobs([0], [[4]])
+            whole(session, [[4]])
+            with pytest.raises(ValueError, match="parent 1 is not -1 or one of the 1"):
+                session.logprobs([1], [[5]])
+            assert remote._next_id == 1
+            assert session.logprobs([0], [[5]]).shape == (1, len(vocab))
 
     def test_handshake_size_mismatch(self, tmp_path):
         vocab = self.vocab()
@@ -683,7 +800,7 @@ class TestExternalScorer:
             with pytest.raises(
                 ProtocolViolation, match=f"whole rows of {8 * size} bytes .* got {8 * size - 8}"
             ):
-                remote.bind(None).logprobs([[], []])
+                whole(remote.bind(None), [[], []])
 
     @pytest.mark.parametrize(
         "mode, message",
@@ -700,11 +817,11 @@ class TestExternalScorer:
         vocab = self.vocab()
         with ExternalScorer(spawn_args(tmp_path, len(vocab), mode), vocab) as remote:
             with pytest.raises(ProtocolViolation, match=message):
-                remote.bind(None).logprobs([[], []])
+                whole(remote.bind(None), [[], []])
             # the violation left the client referencing nothing: the next
             # request sends whole prefixes, which the double rebuilds
             with pytest.raises(ProtocolViolation, match="rows"):
-                remote.bind(None).logprobs([[0, 1], [0]])
+                whole(remote.bind(None), [[0, 1], [0]])
             assert remote._sent == {}
 
     def test_rows_fan_distinct_rows_out_to_prefixes(self, tmp_path):
@@ -714,7 +831,7 @@ class TestExternalScorer:
             # the last prefix's row differs from the two before it, so two
             # distinct rows travel, and the first bad prefix is named
             with pytest.raises(ProtocolViolation, match="row 2: probabilities sum to nan"):
-                remote.bind(None).logprobs([[], [4], [5]])
+                whole(remote.bind(None), [[], [4], [5]])
 
     def test_probability_sum_off_by_half(self, tmp_path):
         vocab = self.vocab()
@@ -722,13 +839,13 @@ class TestExternalScorer:
             with pytest.raises(ProtocolViolation, match="sum"):
                 remote.logprobs([], None)
             with pytest.raises(ProtocolViolation, match="row 2: probabilities sum"):
-                remote.bind(None).logprobs([[], [], []])
+                whole(remote.bind(None), [[], [], []])
 
     def test_nan_row(self, tmp_path):
         vocab = self.vocab()
         with ExternalScorer(spawn_args(tmp_path, len(vocab), "nan"), vocab) as remote:
             with pytest.raises(ProtocolViolation, match="row 1: probabilities sum to nan"):
-                remote.bind(None).logprobs([[], []])
+                whole(remote.bind(None), [[], []])
 
     def test_invalid_base64(self, tmp_path):
         vocab = self.vocab()
@@ -777,7 +894,7 @@ class TestExternalScorer:
         remote = ExternalScorer(spawn_args(tmp_path, len(vocab), "hang"), vocab)
         started = time.monotonic()
         with pytest.raises(ScorerUnavailable, match="no complete frame within 0.5 s"):
-            remote.bind(None).logprobs([[], []])
+            whole(remote.bind(None), [[], []])
         assert time.monotonic() - started < 5.0
         pid = int((tmp_path / "server.py.pid").read_text())
         with pytest.raises(ProcessLookupError):
@@ -794,7 +911,7 @@ class TestExternalScorer:
         prefixes = [vocab.encode(["w1"] * 200)] * 400
         started = time.monotonic()
         with pytest.raises(ScorerUnavailable, match="took no complete request within 0.5 s"):
-            remote.bind(None).logprobs(prefixes)
+            whole(remote.bind(None), prefixes)
         assert time.monotonic() - started < 3.0
         pid = int((tmp_path / "server.py.pid").read_text())
         with pytest.raises(ProcessLookupError):
@@ -933,7 +1050,7 @@ class TestServeLoopProtocol3:
         ]
         for frame, prefixes in zip(frames, expected):
             assert "error" not in frame
-            want = model.bind(None).logprobs(prefixes)
+            want = whole(model.bind(None), prefixes)
             assert frame_matrix(frame, size).tobytes() == want.tobytes()
 
     def test_each_distinct_row_is_sent_once_in_first_seen_order(self):
@@ -944,7 +1061,7 @@ class TestServeLoopProtocol3:
         assert frame["rows"] == [0, 0, 1, 2, 1]
         distinct = np.frombuffer(base64.b64decode(frame["logprobs"]), dtype="<f8")
         assert len(distinct) == 3 * size
-        want = model.bind(None).logprobs([(4,), (5,), ()])
+        want = whole(model.bind(None), [(4,), (5,), ()])
         assert distinct.tobytes() == want.tobytes()
 
     def test_hostile_parents_get_error_frames_and_clear_the_state(self):

@@ -56,6 +56,19 @@ def test_out_of_range_id_raises():
         vocab.token(-1)
 
 
+@pytest.mark.parametrize("bad", [-1, "size"])
+def test_decode_names_the_first_out_of_range_id(bad):
+    vocab = Vocabulary.from_tokens(["a", "b"])
+    bad = len(vocab) if bad == "size" else bad
+    # the first bad id is named, whatever follows it; a negative id never
+    # wraps round to the end of the vocabulary
+    with pytest.raises(UnknownToken) as excinfo:
+        vocab.decode([vocab.eos_id, bad, len(vocab) + 7, -5])
+    assert excinfo.value.args == (bad,)
+    assert vocab.decode([len(vocab) - 1, 0]) == [vocab.tokens[-1], vocab.tokens[0]]
+    assert vocab.decode([]) == []
+
+
 def test_structural_ids_cover_exactly_opens_close_eos():
     vocab = Vocabulary.from_tokens(["word", "[INFORM", "[date_time", "43"])
     structural = {vocab.token(i) for i in vocab.structural_ids}
